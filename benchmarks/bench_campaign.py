@@ -2,7 +2,7 @@
 
 The campaign executor reorders pending points by topology signature
 (groups in first-seen order, sweep order preserved inside each group)
-and hands each worker one **contiguous span** of the ordered stream.
+and its workers claim **contiguous runs** of the ordered stream.
 PR-1's ``evaluate_stream`` instead cuts the caller's order into small
 contiguous chunks dispatched round-robin — fine when the caller already
 grouped by topology, but a grid campaign naturally interleaves

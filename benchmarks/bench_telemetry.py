@@ -2,8 +2,9 @@
 
 PR 8's acceptance contract: the instrumentation layer observes without
 perturbing.  One small multi-group campaign is drained four ways —
-serial (twice), ``n_jobs=2`` span workers, and a 2-process lease fabric
-— all with tracing enabled, and the benchmark asserts:
+in-process (twice), ``n_jobs=2`` (two fabric worker processes behind
+``run_campaign``), and a 2-process lease fabric — all with tracing
+enabled, and the benchmark asserts:
 
 * **counter determinism** — two serial runs produce *identical* full
   counter snapshots (every counter, not just the contract tier);

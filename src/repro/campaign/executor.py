@@ -3,9 +3,10 @@
 :func:`run_campaign` drains a :class:`~repro.campaign.spec.CampaignSpec`
 through one shared :class:`~repro.engine.BatchEngine`:
 
-1. **Expand + dedupe** — the spec expands deterministically; every
-   point's digest is looked up in the store and already-computed points
-   are skipped (this is both the resume path and the duplicate guard).
+1. **Expand + dedupe** — the spec expands (and every point is digested)
+   once; every distinct digest is looked up in the store and
+   already-computed points are skipped (this is both the resume path
+   and the duplicate guard).
 2. **Order** — pending points are regrouped by
    :func:`~repro.engine.signature.topology_signature` (groups in
    first-seen order) while *preserving sweep order inside each group*.
@@ -14,18 +15,17 @@ through one shared :class:`~repro.engine.BatchEngine`:
    similar, so the carried policy is typically one improvement round
    from each new fixed point (see ``benchmarks/bench_campaign.py``,
    which asserts this ordering beats PR-1's plain contiguous chunking).
-3. **Evaluate + checkpoint** — results stream into the store with a
-   commit every ``commit_every`` points (serial) or per worker span as
-   each span *finishes* (parallel), so a killed serial run loses at
-   most ``commit_every`` points and a killed parallel run at most the
-   spans still in flight — never committed work.  Parallel runs split
-   the *ordered* stream into one contiguous span per worker — never
-   round-robin chunks, which would interleave sweep neighbors away
-   from each other's engines.  Because the stream is signature-ordered,
-   both paths drain through ``BatchEngine.evaluate(mode="many")``: each
-   same-topology run is stamped into one ``(B, E)`` weight matrix and
-   solved in lockstep (:func:`repro.maxplus.howard.solve_prepared_many`)
-   instead of point by point.
+3. **Claim + evaluate + checkpoint** — a campaign drains one way: the
+   fabric's claim loop.  ``run_campaign`` runs it in-process as a
+   single worker that claims ``commit_every`` digests at a time from
+   the ordered stream, evaluates them through
+   ``BatchEngine.evaluate(mode="many")`` (each same-topology run is
+   stamped into one ``(B, E)`` weight matrix and solved in lockstep by
+   :func:`repro.maxplus.howard.solve_prepared_many`), commits them and
+   releases their leases, so a kill loses at most ``commit_every``
+   points, never committed work.  ``n_jobs > 1`` hands the same loop to
+   :func:`run_campaign_workers`, whose worker processes coordinate
+   only through the store's lease table.
 
 Evaluation runs ``warm_start=True``: period values are identical to
 cold start (pinned by ``tests/test_warm_start.py``), and stored
@@ -43,8 +43,10 @@ import csv
 import io
 import os as _os
 import sqlite3
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import zlib
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -54,6 +56,7 @@ from ..errors import ValidationError
 from ..experiments.io import canonical_json
 from ..faults import FAULTS, FaultPlan, SpillJournal, pause
 from ..telemetry import TELEMETRY, write_trace
+from .lease import DEFAULT_LEASE_TTL, LeaseManager
 from .spec import CampaignPoint, CampaignSpec
 from .store import ResultStore, instance_digest, payload_from_result
 
@@ -70,8 +73,13 @@ __all__ = [
     "export_campaign_csv",
 ]
 
-#: Serial checkpoint cadence (points per store commit).
+#: Checkpoint cadence (points per store commit).
 DEFAULT_COMMIT_EVERY = 32
+
+#: Lease-table identity of :func:`run_campaign`'s in-process worker.
+#: Fixed, never pid-based: its claims (and so its telemetry counters)
+#: repeat exactly from run to run.
+_SERIAL_WORKER = "run-campaign"
 
 #: Fabric claim-batch size: how many digests one worker leases per
 #: claim transaction.  Small enough that a crashed worker strands
@@ -161,52 +169,21 @@ def order_for_engine(
     return [i for members in groups.values() for i in members]
 
 
-def _split_spans(order: list[int], n_spans: int) -> list[list[int]]:
-    """Cut an ordered index list into contiguous, near-equal spans."""
-    n_spans = max(1, min(n_spans, len(order)))
-    base, extra = divmod(len(order), n_spans)
-    spans: list[list[int]] = []
-    start = 0
-    for s in range(n_spans):
-        size = base + (1 if s < extra else 0)
-        spans.append(order[start: start + size])
-        start += size
-    return [s for s in spans if s]
+def _expand_digests(
+    spec: CampaignSpec,
+) -> tuple[int, dict[str, tuple[Instance, str]]]:
+    """Expand and digest a spec once.
 
-
-def _evaluate_span(
-    args: tuple[list[tuple[str, Instance, str]], int, bool, tuple[str, ...]],
-) -> tuple[list[tuple[str, dict[str, Any]]], dict[str, int] | None]:
-    """Worker: evaluate one contiguous span with a warm-started engine.
-
-    The span is signature-ordered (see :func:`order_for_engine`), so
-    ``mode="many"`` turns it into a handful of lockstep group solves.
-    Extra objective values (latency / reliability) are pure per-instance
-    functions, so computing them in the worker yields the same payload
-    bytes as any other execution path.
-
-    When the parent collects telemetry, the worker tallies its own
-    counters on a fresh collector and ships the snapshot back alongside
-    the results (summed merge — completion order cannot matter).  The
-    collector is reset (or disabled) unconditionally: forked workers
-    inherit the parent's collector state and must never double-count it.
+    Returns the number of points and each distinct digest's
+    ``(instance, model)``, digests in first-seen (sweep) order.
     """
-    items, max_rows, telemetry_on, objectives = args
-    if telemetry_on:
-        TELEMETRY.enable("span")
-    else:
-        TELEMETRY.disable()
-    engine = BatchEngine(max_rows=max_rows, warm_start=True)
-    results = engine.evaluate(
-        [inst for _, inst, _ in items], [model for _, _, model in items],
-        mode="many",
-    )
-    out = [
-        (digest, payload_from_result(inst, result, objectives=objectives))
-        for (digest, inst, _), result in zip(items, results)
-    ]
-    counters = TELEMETRY.counter_snapshot() if telemetry_on else None
-    return out, counters
+    points = spec.expand()
+    by_digest: dict[str, tuple[Instance, str]] = {}
+    for pt in points:
+        inst = pt.instance()
+        digest = instance_digest(inst, pt.model, objectives=spec.objectives)
+        by_digest.setdefault(digest, (inst, pt.model))
+    return len(points), by_digest
 
 
 def run_campaign(
@@ -229,127 +206,86 @@ def run_campaign(
         re-evaluated, which is both the resume path and the cross-run
         dedupe.
     n_jobs:
-        ``None``/``1`` — serial, one shared engine, streaming commits;
-        ``k > 1`` — the ordered stream splits into ``k`` contiguous
-        spans, one long-lived engine per worker (``0`` = all cores).
-        Stored values are identical either way.
+        ``None``/``1`` — drain in this process through the fabric's
+        claim loop (one worker, one warm-started engine, streaming
+        commits); ``k > 1`` — :func:`run_campaign_workers` with ``k``
+        fabric worker processes (``0`` = all cores), which needs a file
+        store.  Stored values are identical either way.
     max_points:
         Evaluate at most this many *new* points, then stop with
         ``remaining > 0`` — a deterministic stand-in for an interrupted
-        run (used by tests and the CI resume smoke).
+        run (used by tests and the CI resume smoke).  In-process drains
+        only.
     commit_every:
-        Serial checkpoint cadence.
+        Checkpoint cadence: points per claim and per store commit.
     progress:
-        Optional ``callback(done_new_points, pending_total)``.
+        Optional ``callback(done_new_points, pending_total)`` after each
+        commit of an in-process drain.
     trace_dir:
         Enable :mod:`repro.telemetry` on a fresh collector and write a
         ``trace-main.jsonl`` canonical trace (counters + spans) into
-        this directory when done.  ``None`` leaves the collector's
-        enabled state alone, so callers may also enable/inspect
-        telemetry themselves.
+        this directory when done (plus one ``trace-worker-<i>.jsonl``
+        per fabric worker when ``n_jobs > 1``).  ``None`` leaves the
+        collector's enabled state alone, so callers may also
+        enable/inspect telemetry themselves.
     """
-    if trace_dir is not None:
+    parallel = n_jobs is not None and n_jobs != 1
+    if parallel:
+        if store.path == ":memory:":
+            raise ValidationError(
+                f"n_jobs={n_jobs} drains through worker processes, which "
+                f"cannot share a ':memory:' store; use a file store or "
+                f"n_jobs=1"
+            )
+        if max_points is not None:
+            raise ValidationError(
+                "max_points needs an in-process drain (n_jobs=1)"
+            )
+    elif trace_dir is not None:
         TELEMETRY.enable("main")
 
-    with TELEMETRY.span("campaign", campaign=spec.name):
+    # A parallel drain's root span is run_campaign_workers' own.
+    with nullcontext() if parallel else TELEMETRY.span(
+            "campaign", campaign=spec.name):
         with TELEMETRY.span("expand"):
-            points = spec.expand()
-            instances = [pt.instance() for pt in points]
-            digests = [instance_digest(inst, pt.model,
-                                       objectives=spec.objectives)
-                       for pt, inst in zip(points, instances)]
-
-            seen: set[str] = set()
-            pending: list[int] = []
-            for i, digest in enumerate(digests):
-                if digest in seen:
-                    continue
-                # existence probe only — never fetch/parse payloads
-                # during resume
-                if digest not in store:
-                    pending.append(i)
-                    seen.add(digest)
-            hits = len(points) - len(pending)
-
-            order = order_for_engine(
-                [(instances[i], points[i].model) for i in pending]
+            n_points, by_digest = _expand_digests(spec)
+            # existence probe only — never fetch/parse payloads on resume
+            pending = [d for d in by_digest if d not in store]
+        if parallel:
+            run_campaign_workers(
+                spec, store.path,
+                workers=n_jobs or _os.cpu_count() or 1,
+                commit_every=commit_every, trace_dir=trace_dir,
             )
-            ordered = [pending[j] for j in order]
-            if max_points is not None:
-                ordered = ordered[:max_points]
-
-            n_groups = len({
-                topology_signature(instances[i], points[i].model)
-                for i in ordered
-            })
-        max_rows = spec.max_paths + 1
-
-        if n_jobs is None or n_jobs == 1 or len(ordered) < 2:
-            engine = BatchEngine(max_rows=max_rows, warm_start=True)
-            # Drain in commit-sized slices: each slice is signature-ordered,
-            # so mode="many" locksteps it as a few whole-group solves, and
-            # a kill still loses at most ``commit_every`` points.
-            done = 0
-            for start in range(0, len(ordered), commit_every):
-                chunk = ordered[start: start + commit_every]
-                with TELEMETRY.span("evaluate", points=len(chunk)):
-                    results = engine.evaluate(
-                        [instances[i] for i in chunk],
-                        [points[i].model for i in chunk],
-                        mode="many",
-                    )
-                with TELEMETRY.span("commit", points=len(chunk)):
-                    for i, result in zip(chunk, results):
-                        store.put(digests[i],
-                                  payload_from_result(
-                                      instances[i], result,
-                                      objectives=spec.objectives),
-                                  commit=False)
-                    store.commit()
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, len(ordered))
+            evaluated = [d for d in pending if d in store]
         else:
-            workers = (_os.cpu_count() or 1) if n_jobs == 0 else n_jobs
-            spans = _split_spans(ordered, workers)
-            telemetry_on = TELEMETRY.enabled
-            payloads = [
-                ([(digests[i], instances[i], points[i].model) for i in span],
-                 max_rows, telemetry_on, spec.objectives)
-                for span in spans
-            ]
-            done = 0
-            with TELEMETRY.span("evaluate", points=len(ordered),
-                                spans=len(spans)):
-                with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-                    futures = [pool.submit(_evaluate_span, p)
-                               for p in payloads]
-                    # Commit spans the moment they finish (not in
-                    # submission order): a kill loses at most the
-                    # in-flight spans, never a finished one stuck behind
-                    # a slow predecessor.
-                    for fut in as_completed(futures):
-                        results, counters = fut.result()
-                        if counters is not None:
-                            TELEMETRY.merge_counters(counters)
-                        with TELEMETRY.span("commit",
-                                            points=len(results)):
-                            for digest, payload in results:
-                                store.put(digest, payload, commit=False)
-                            store.commit()
-                        done += len(results)
-                        if progress is not None:
-                            progress(done, len(ordered))
+            order = order_for_engine([by_digest[d] for d in pending])
+            lease = LeaseManager(store, _SERIAL_WORKER)
+            try:
+                evaluated = _drain(
+                    spec, store, lease, [pending[j] for j in order], by_digest,
+                    claim_batch=commit_every, commit_every=commit_every,
+                    progress=progress, max_points=max_points,
+                )
+            except BaseException:
+                # Hand unfinished claims back at once, so a resume right
+                # after an interrupt does not wait out their TTL (if the
+                # store itself is failing, they simply expire instead).
+                with suppress(sqlite3.OperationalError):
+                    store.rollback()
+                    lease.release(lease.held())
+                raise
+        n_groups = len({topology_signature(*by_digest[d]) for d in evaluated})
 
     report = CampaignReport(
         spec_name=spec.name,
-        total=len(points),
-        hits=hits,
-        evaluated=len(ordered),
-        remaining=len(pending) - len(ordered),
+        total=n_points,
+        hits=n_points - len(pending),
+        evaluated=len(evaluated),
+        remaining=len(pending) - len(evaluated),
         groups=n_groups,
     )
-    if trace_dir is not None:
+    if trace_dir is not None and not parallel:
         trace_path = Path(trace_dir)
         trace_path.mkdir(parents=True, exist_ok=True)
         write_trace(trace_path / "trace-main.jsonl", TELEMETRY)
@@ -421,23 +357,16 @@ def _unique_spec_digests(
     deterministic), so the fabric needs no coordinator process: the
     shared store plus the lease table are the only channel.
     """
-    points = spec.expand()
-    by_digest: dict[str, tuple[Instance, str]] = {}
-    firsts: list[tuple[str, Instance, str]] = []
-    for pt in points:
-        inst = pt.instance()
-        digest = instance_digest(inst, pt.model, objectives=spec.objectives)
-        if digest not in by_digest:
-            by_digest[digest] = (inst, pt.model)
-            firsts.append((digest, inst, pt.model))
-    order = order_for_engine([(inst, model) for _, inst, model in firsts])
-    return [firsts[j][0] for j in order], by_digest
+    _, by_digest = _expand_digests(spec)
+    firsts = list(by_digest)
+    order = order_for_engine([by_digest[d] for d in firsts])
+    return [firsts[j] for j in order], by_digest
 
 
 def _spill_chunk(
     store: ResultStore,
     spill_dir: str | Path,
-    payloads: Sequence[tuple[str, str]],
+    payloads: Sequence[tuple[str, dict[str, Any]]],
     spilled: set[str],
 ) -> None:
     """Degrade gracefully: journal a chunk the store would not take.
@@ -451,9 +380,9 @@ def _spill_chunk(
     """
     store.rollback()
     journal = SpillJournal(spill_dir)
-    for digest, text in payloads:
+    for digest, payload in payloads:
         try:
-            journal.spill(digest, text)
+            journal.spill(digest, canonical_json(payload))
         except OSError:
             # The journal write itself failed (e.g. injected ENOSPC):
             # the digest simply stays pending for a later worker/run.
@@ -461,6 +390,119 @@ def _spill_chunk(
         spilled.add(digest)
     if TELEMETRY.enabled:
         TELEMETRY.count("fabric.spilled_chunks")
+
+
+def _drain(
+    spec: CampaignSpec,
+    store: ResultStore,
+    lease: LeaseManager,
+    ordered: Sequence[str],
+    by_digest: Mapping[str, tuple[Instance, str]],
+    *,
+    claim_batch: int,
+    commit_every: int,
+    progress: Callable[[int, int], None] | None,
+    spill_dir: str | Path | None = None,
+    max_points: int | None = None,
+) -> list[str]:
+    """The claim loop: drain ``ordered`` into ``store`` under ``lease``.
+
+    The single drain of both :func:`run_campaign` (one in-process
+    worker) and :func:`run_campaign_worker` (one fabric process).
+    Claims walk ``ordered`` with a cursor; the store is rescanned only
+    when a claim comes back empty, so a drain costs one pass over the
+    digests, not one per claim.  Digests other workers store meanwhile
+    are skipped by :meth:`~repro.campaign.lease.LeaseManager.claim`
+    itself.  Stops after ``max_points`` new points when given.
+
+    Returns the digests this call committed, in commit order.
+    """
+    engine = BatchEngine(max_rows=spec.max_paths + 1, warm_start=True)
+    total = len(ordered) if max_points is None \
+        else min(len(ordered), max_points)
+    committed: list[str] = []
+    spilled: set[str] = set()
+    queue: list[str] = []
+    pos = 0
+    while max_points is None or len(committed) < max_points:
+        limit = claim_batch if max_points is None \
+            else min(claim_batch, max_points - len(committed))
+        with TELEMETRY.span("claim"):
+            claimed = lease.claim(islice(queue, pos, None), limit=limit) \
+                if pos < len(queue) else []
+            if not claimed:
+                stored = set(store.digests())
+                queue = [d for d in ordered
+                         if d not in stored and d not in spilled]
+                pos = 0
+                if queue:
+                    claimed = lease.claim(queue, limit=limit)
+        if not queue:
+            break
+        if FAULTS.enabled:
+            FAULTS.hit("worker.after-claim")
+        if not claimed:
+            # Everything left is leased by some other live worker (or
+            # just landed in the store); wait for completion or expiry.
+            # The watchdog half: sweep leases whose renewal deadline
+            # has passed, so a hung worker's digests go back on the
+            # market after one TTL instead of lingering.
+            with TELEMETRY.span("wait"):
+                swept = lease.reclaim_stale()
+                if swept and TELEMETRY.enabled:
+                    TELEMETRY.count("fabric.stale_reclaimed", swept)
+                pause(_FABRIC_POLL_SLEEP)
+            pos = len(queue)  # rescan on the next pass
+            continue
+        pos = queue.index(claimed[-1], pos) + 1
+        for start in range(0, len(claimed), commit_every):
+            chunk = claimed[start: start + commit_every]
+            tail = claimed[start:]
+            renewed = lease.renew(tail)  # heartbeat for the unevaluated tail
+            if renewed < len(tail):
+                # This worker stalled past its renewal deadline and the
+                # watchdog handed (some of) its leases to someone else.
+                # Evaluating them anyway would be harmless (content
+                # addressing absorbs duplicates) but wasteful — keep
+                # only what is still ours.
+                held = set(lease.held())
+                lost = [d for d in chunk if d not in held]
+                if lost:
+                    chunk = [d for d in chunk if d in held]
+                    if TELEMETRY.enabled:
+                        TELEMETRY.count("fabric.lost_leases", len(lost))
+                if not chunk:
+                    continue
+            with TELEMETRY.span("evaluate", points=len(chunk)):
+                results = engine.evaluate(
+                    [by_digest[d][0] for d in chunk],
+                    [by_digest[d][1] for d in chunk],
+                    mode="many",
+                )
+            payloads = [
+                (digest, payload_from_result(by_digest[digest][0], result,
+                                             objectives=spec.objectives))
+                for digest, result in zip(chunk, results)
+            ]
+            with TELEMETRY.span("commit", points=len(chunk)):
+                try:
+                    for digest, payload in payloads:
+                        store.put(digest, payload, commit=False)
+                    store.commit()
+                except (sqlite3.OperationalError, OSError):
+                    if spill_dir is None:
+                        raise
+                    _spill_chunk(store, spill_dir, payloads, spilled)
+                    continue
+                if FAULTS.enabled:
+                    FAULTS.hit("worker.pre-release")
+                lease.release(chunk)
+            if FAULTS.enabled:
+                FAULTS.hit("worker.after-release")
+            committed.extend(chunk)
+            if progress is not None:
+                progress(len(committed), total)
+    return committed
 
 
 def run_campaign_worker(
@@ -510,101 +552,21 @@ def run_campaign_worker(
     ``worker.pre-release`` and ``worker.after-release`` sites mark the
     protocol barriers where a plan may SIGKILL this process for real.
     """
-    from .lease import DEFAULT_LEASE_TTL, LeaseManager
-
     ordered, by_digest = _unique_spec_digests(spec)
     lease = LeaseManager(
         store, worker_id,
         ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
     )
-    engine = BatchEngine(max_rows=spec.max_paths + 1, warm_start=True)
-
     # Stable stagger: worker k starts claiming at offset k/N-ish of the
     # ordered list (keyed by the worker id's crc so independent hosts
     # need no index assignment), keeping claim contention rare while
     # preserving signature-contiguous runs inside each claim batch.
-    import zlib as _zlib
-
-    offset = (_zlib.crc32(worker_id.encode()) % max(1, len(ordered)))
-    rotated = ordered[offset:] + ordered[:offset]
-
-    done_new = 0
-    spilled: set[str] = set()
-    while True:
-        with TELEMETRY.span("claim"):
-            stored = set(store.digests())
-            remaining = [
-                d for d in rotated if d not in stored and d not in spilled
-            ]
-            if remaining:
-                claimed = lease.claim(remaining, limit=claim_batch)
-        if not remaining:
-            break
-        if FAULTS.enabled:
-            FAULTS.hit("worker.after-claim")
-        if not claimed:
-            # Everything left is leased by some other live worker (or
-            # just landed in the store); wait for completion or expiry.
-            # The watchdog half: sweep leases whose renewal deadline
-            # has passed, so a hung worker's digests go back on the
-            # market after one TTL instead of lingering.
-            with TELEMETRY.span("wait"):
-                swept = lease.reclaim_stale()
-                if swept and TELEMETRY.enabled:
-                    TELEMETRY.count("fabric.stale_reclaimed", swept)
-                pause(_FABRIC_POLL_SLEEP)
-            continue
-        for start in range(0, len(claimed), commit_every):
-            chunk = claimed[start: start + commit_every]
-            tail = claimed[start:]
-            renewed = lease.renew(tail)  # heartbeat for the unevaluated tail
-            if renewed < len(tail):
-                # This worker stalled past its renewal deadline and the
-                # watchdog handed (some of) its leases to someone else.
-                # Evaluating them anyway would be harmless (content
-                # addressing absorbs duplicates) but wasteful — keep
-                # only what is still ours.
-                held = set(lease.held())
-                lost = [d for d in chunk if d not in held]
-                if lost:
-                    chunk = [d for d in chunk if d in held]
-                    if TELEMETRY.enabled:
-                        TELEMETRY.count("fabric.lost_leases", len(lost))
-                if not chunk:
-                    continue
-            with TELEMETRY.span("evaluate", points=len(chunk)):
-                results = engine.evaluate(
-                    [by_digest[d][0] for d in chunk],
-                    [by_digest[d][1] for d in chunk],
-                    mode="many",
-                )
-            payloads = [
-                (digest,
-                 canonical_json(
-                     payload_from_result(by_digest[digest][0], result,
-                                         objectives=spec.objectives)))
-                for digest, result in zip(chunk, results)
-            ]
-            with TELEMETRY.span("commit", points=len(chunk)):
-                try:
-                    for digest, text in payloads:
-                        store.put_text(digest, text, commit=False)
-                    store.commit()
-                except (sqlite3.OperationalError, OSError):
-                    if spill_dir is None:
-                        raise
-                    _spill_chunk(store, spill_dir, payloads, spilled)
-                    continue
-                if FAULTS.enabled:
-                    FAULTS.hit("worker.pre-release")
-                lease.release(chunk)
-            if FAULTS.enabled:
-                FAULTS.hit("worker.after-release")
-            done_new += len(chunk)
-            if progress is not None:
-                progress(done_new, len(ordered))
-    return done_new
-
+    offset = zlib.crc32(worker_id.encode()) % max(1, len(ordered))
+    return len(_drain(
+        spec, store, lease, ordered[offset:] + ordered[:offset], by_digest,
+        claim_batch=claim_batch, commit_every=commit_every,
+        progress=progress, spill_dir=spill_dir,
+    ))
 
 def _fabric_worker_main(
     spec_data: dict[str, Any],
@@ -667,11 +629,10 @@ def run_campaign_workers(
 ) -> FabricReport:
     """Drain one campaign with ``workers`` independent processes.
 
-    Unlike ``run_campaign(n_jobs=k)`` — which *pre-partitions* the
-    ordered stream into spans inside one process — every fabric worker
-    is a full, independent campaign runner against the shared WAL
-    store: the processes coordinate **only** through the store's lease
-    table, so this is exactly the multi-host execution model run on one
+    Every fabric worker is a full, independent campaign runner against
+    the shared WAL store (``run_campaign(n_jobs=k)`` delegates here):
+    the processes coordinate **only** through the store's lease table,
+    so this is exactly the multi-host execution model run on one
     machine.  Workers that crash strand nothing: their leases expire
     and the survivors (or the next invocation) absorb the work.
 

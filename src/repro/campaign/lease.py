@@ -48,7 +48,7 @@ from __future__ import annotations
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..faults import FAULTS, RetryPolicy
 from ..telemetry import TELEMETRY
@@ -168,7 +168,7 @@ class LeaseManager:
     # protocol
     # ------------------------------------------------------------------
     def claim(
-        self, digests: Sequence[str], limit: int | None = None
+        self, digests: Iterable[str], limit: int | None = None
     ) -> list[str]:
         """Claim up to ``limit`` of ``digests`` for this worker.
 
@@ -185,11 +185,10 @@ class LeaseManager:
         now = self._now()
         expires = now + self.ttl
         claimed: list[str] = []
-        budget = len(digests) if limit is None else limit
         self._immediate()
         try:
             for digest in digests:
-                if len(claimed) >= budget:
+                if limit is not None and len(claimed) >= limit:
                     break
                 done = self._conn.execute(
                     "SELECT 1 FROM results WHERE digest = ?", (digest,)

@@ -27,8 +27,7 @@ This package amortizes that hot path:
   point with deterministic chunk sharding across a
   ``ProcessPoolExecutor`` (a bounded in-flight submission window keeps
   streaming memory flat) and streaming, submission-ordered results
-  (``mode="stream"``); the old ``evaluate_batch`` / ``evaluate_stream``
-  names remain as deprecated aliases.
+  (``mode="stream"``).
 
 Quick start::
 
@@ -68,8 +67,6 @@ from .batch import (
     BatchEngine,
     EngineStats,
     evaluate,
-    evaluate_batch,
-    evaluate_stream,
 )
 from .classify import CycleTimePlan, build_cycle_time_plan
 from .signature import topology_signature
@@ -79,8 +76,6 @@ __all__ = [
     "BatchEngine",
     "EngineStats",
     "evaluate",
-    "evaluate_batch",
-    "evaluate_stream",
     "MIN_GROUP_ROWS",
     "MAX_GROUP_ROWS",
     "topology_signature",

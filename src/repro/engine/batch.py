@@ -5,8 +5,7 @@
 :func:`~repro.engine.signature.topology_signature`;
 :func:`evaluate` is the module-level entry point that shards large
 batches across worker processes (``mode="batch"`` collects a list,
-``mode="stream"`` yields lazily; :func:`evaluate_batch` /
-:func:`evaluate_stream` remain as deprecated aliases).
+``mode="stream"`` yields lazily).
 
 :meth:`BatchEngine.evaluate` is the engine's single documented entry
 point: a single instance takes the scalar cache path, a sequence is
@@ -14,8 +13,6 @@ evaluated in order with keyword-only ``mode=`` narrowing the dispatch
 (``"many"`` run detection, ``"group"`` explicit lockstep), and
 ``objectives=`` lifts results into the multi-criteria
 (period, latency, reliability) plane of :mod:`repro.objectives`.
-``BatchEngine.evaluate_group`` / ``BatchEngine.evaluate_many`` are
-deprecated aliases onto the same implementations.
 
 **Group evaluation** is the hot path: consecutive TPN-method pairs that
 share a topology signature are stamped into one ``(B, E)`` weight
@@ -57,7 +54,6 @@ see :class:`BatchEngine`.
 from __future__ import annotations
 
 import os
-import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -86,23 +82,10 @@ __all__ = [
     "BatchEngine",
     "EngineStats",
     "evaluate",
-    "evaluate_batch",
-    "evaluate_stream",
     "MIN_GROUP_ROWS",
     "MAX_GROUP_ROWS",
     "MIN_PARALLEL_BATCH",
 ]
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """One deprecated-alias warning, attributed to the caller's line."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in a future release; "
-        f"use {new} (see CONTRIBUTING.md, 'Deprecated evaluate entry "
-        f"points')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _attach_objectives(
@@ -396,9 +379,9 @@ class BatchEngine:
                 method=method,
             )
         else:
-            results = self._evaluate_sequence(
+            results = list(self._evaluate_sequence(
                 pairs, method=method, n_firings=n_firings
-            )
+            ))
         if objectives is None:
             return results
         return list(
@@ -414,9 +397,7 @@ class BatchEngine:
     ) -> PeriodResult:
         """Evaluate one pair through the cache (scalar-path semantics)."""
         model = CommModel.parse(model)
-        if method == "auto":
-            method = "polynomial" if model.overlap else "tpn"
-
+        method = _resolve(method, model)
         if FAULTS.enabled:
             # A stall here models a slow machine: the worker's lease
             # heartbeats arrive late and the fabric's watchdog path
@@ -478,18 +459,6 @@ class BatchEngine:
             tpn_solution=solution,
         )
 
-    def evaluate_group(
-        self,
-        instances: Sequence[Instance],
-        model: CommModel | str,
-        method: str = "auto",
-    ) -> list[PeriodResult]:
-        """Deprecated alias for :meth:`evaluate` with ``mode="group"``."""
-        _warn_deprecated(
-            "BatchEngine.evaluate_group", "BatchEngine.evaluate(mode='group')"
-        )
-        return self._evaluate_uniform_group(instances, model, method=method)
-
     def _evaluate_uniform_group(
         self,
         instances: Sequence[Instance],
@@ -510,30 +479,18 @@ class BatchEngine:
         see :class:`~repro.maxplus.howard.HowardState`).
         """
         model = CommModel.parse(model)
-        if method == "auto":
-            method = "polynomial" if model.overlap else "tpn"
-        if method != "tpn" or len(instances) < MIN_GROUP_ROWS:
-            return [
-                self._evaluate_point(i, model, method=method)
-                for i in instances
-            ]
-        key = topology_signature(instances[0], model)
-        for inst in instances[1:]:
-            if topology_signature(inst, model) != key:
-                # A mismatched instance would be stamped through the
-                # first instance's skeleton and return plausible but
-                # wrong numbers — fail loudly instead.
-                raise ValidationError(
-                    "mode='group' requires every instance to share one "
-                    "topology signature (model + mapping assignments); "
-                    "use mode='many' for mixed batches"
-                )
-        out: list[PeriodResult] = []
-        for i in range(0, len(instances), MAX_GROUP_ROWS):
-            out.extend(
-                self._evaluate_tpn_group(key, instances[i: i + MAX_GROUP_ROWS], model)
+        pairs = [(inst, model) for inst in instances]
+        if _resolve(method, model) == "tpn" \
+                and len(list(_signature_runs(pairs, method))) > 1:
+            # A mismatched instance would be stamped through the first
+            # instance's skeleton and return plausible but wrong
+            # numbers — fail loudly instead.
+            raise ValidationError(
+                "mode='group' requires every instance to share one "
+                "topology signature (model + mapping assignments); "
+                "use mode='many' for mixed batches"
             )
-        return out
+        return list(self._evaluate_sequence(pairs, method=method))
 
     def _evaluate_tpn_group(
         self, key: tuple[object, ...], instances: Sequence[Instance], model: CommModel
@@ -581,28 +538,12 @@ class BatchEngine:
             ))
         return out
 
-    def evaluate_many(
-        self,
-        instances: Sequence[Instance] | Iterable[Instance],
-        models: CommModel | str | Sequence[CommModel | str],
-        method: str = "auto",
-        n_firings: int | None = None,
-    ) -> list[PeriodResult]:
-        """Deprecated alias for :meth:`evaluate` with ``mode="many"``."""
-        _warn_deprecated(
-            "BatchEngine.evaluate_many", "BatchEngine.evaluate(mode='many')"
-        )
-        return self._evaluate_sequence(
-            _normalize_pairs(instances, models),
-            method=method, n_firings=n_firings,
-        )
-
     def _evaluate_sequence(
         self,
         pairs: list[tuple[Instance, CommModel]],
         method: str = "auto",
         n_firings: int | None = None,
-    ) -> list[PeriodResult]:
+    ) -> Iterator[PeriodResult]:
         """Evaluate pairs in order, locksteping same-topology runs.
 
         The drop-in batched counterpart of calling the scalar path in a
@@ -610,23 +551,28 @@ class BatchEngine:
         a group and go through the lockstep slabs; everything else
         (singleton runs, polynomial/simulation methods) takes the scalar
         path.  Results align with the input and are bit-identical to the
-        per-pair loop on a cold engine.
+        per-pair loop on a cold engine.  A generator: it yields at
+        same-topology run (or slab) boundaries, so a stream of distinct
+        topologies still yields per evaluation.
         """
-        out: list[PeriodResult] = []
         for i, j, model, key in _signature_runs(pairs, method):
             if key is None or j - i < MIN_GROUP_ROWS:
-                out.extend(
-                    self._evaluate_point(inst, model, method=method,
-                                         n_firings=n_firings)
-                    for inst, _ in pairs[i:j]
-                )
+                for inst, _ in pairs[i:j]:
+                    yield self._evaluate_point(inst, model, method=method,
+                                               n_firings=n_firings)
             else:
                 group = [p[0] for p in pairs[i:j]]
                 for k in range(0, len(group), MAX_GROUP_ROWS):
-                    out.extend(self._evaluate_tpn_group(
+                    yield from self._evaluate_tpn_group(
                         key, group[k: k + MAX_GROUP_ROWS], model
-                    ))
-        return out
+                    )
+
+
+def _resolve(method: str, model: CommModel) -> str:
+    """``method="auto"`` resolved like :func:`compute_period`."""
+    if method != "auto":
+        return method
+    return "polynomial" if model.overlap else "tpn"
 
 
 def _signature_runs(
@@ -637,16 +583,12 @@ def _signature_runs(
     TPN-method pairs extend their segment while model and topology
     signature match (``key`` is the shared signature); other methods
     yield singleton segments with ``key = None``.  The single owner of
-    the run-boundary predicate for :meth:`BatchEngine.evaluate_many`
-    and the serial :func:`evaluate_stream` path.
+    the run-boundary predicate (see :meth:`BatchEngine._evaluate_sequence`).
     """
     i = 0
     while i < len(pairs):
         inst, model = pairs[i]
-        resolved = method
-        if resolved == "auto":
-            resolved = "polynomial" if model.overlap else "tpn"
-        if resolved != "tpn":
+        if _resolve(method, model) != "tpn":
             yield i, i + 1, model, None
             i += 1
             continue
@@ -709,7 +651,7 @@ def _evaluate_chunk(
     ):
         _WORKER_ENGINE = BatchEngine(max_rows=max_rows, warm_start=warm_start)
     engine = _WORKER_ENGINE
-    results = engine._evaluate_sequence(list(chunk), method=method)
+    results = list(engine._evaluate_sequence(list(chunk), method=method))
     counters = TELEMETRY.counter_snapshot() if telemetry_on else None
     return results, counters
 
@@ -739,19 +681,7 @@ def _stream_pairs(
     if n_jobs is None or n_jobs == 1 or len(pairs) < MIN_PARALLEL_BATCH:
         eng = engine if engine is not None else BatchEngine(
             max_rows=max_rows, warm_start=warm_start)
-        # Yield at same-topology run boundaries: runs of >= MIN_GROUP_ROWS
-        # solve in lockstep (per MAX_GROUP_ROWS slab), while a stream of
-        # distinct topologies still yields per evaluation.
-        for i, j, model, key in _signature_runs(pairs, method):
-            if key is None or j - i < MIN_GROUP_ROWS:
-                for inst, _ in pairs[i:j]:
-                    yield eng._evaluate_point(inst, model, method=method)
-            else:
-                group = [p[0] for p in pairs[i:j]]
-                for k in range(0, len(group), MAX_GROUP_ROWS):
-                    yield from eng._evaluate_tpn_group(
-                        key, group[k: k + MAX_GROUP_ROWS], model
-                    )
+        yield from eng._evaluate_sequence(pairs, method=method)
         return
 
     workers = (os.cpu_count() or 1) if n_jobs == 0 else n_jobs
@@ -907,43 +837,3 @@ def evaluate(
         return stream if mode == "stream" else list(stream)
     wrapped = _attach_objectives(pairs, stream, objectives, latency_mode)
     return wrapped if mode == "stream" else list(wrapped)
-
-
-def evaluate_stream(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = "auto",
-    max_rows: int | None = DEFAULT_MAX_ROWS,
-    n_jobs: int | None = None,
-    chunk_size: int | None = None,
-    engine: BatchEngine | None = None,
-    warm_start: bool = False,
-) -> Iterator[PeriodResult]:
-    """Deprecated alias for :func:`evaluate` with ``mode="stream"``."""
-    _warn_deprecated("evaluate_stream", "evaluate(mode='stream')")
-    return _stream_pairs(
-        _normalize_pairs(instances, models), method=method,
-        max_rows=max_rows, n_jobs=n_jobs, chunk_size=chunk_size,
-        engine=engine, warm_start=warm_start,
-    )
-
-
-def evaluate_batch(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = "auto",
-    max_rows: int | None = DEFAULT_MAX_ROWS,
-    n_jobs: int | None = None,
-    chunk_size: int | None = None,
-    engine: BatchEngine | None = None,
-    warm_start: bool = False,
-) -> list[PeriodResult]:
-    """Deprecated alias for :func:`evaluate` with ``mode="batch"``."""
-    _warn_deprecated("evaluate_batch", "evaluate(mode='batch')")
-    return list(
-        _stream_pairs(
-            _normalize_pairs(instances, models), method=method,
-            max_rows=max_rows, n_jobs=n_jobs, chunk_size=chunk_size,
-            engine=engine, warm_start=warm_start,
-        )
-    )

@@ -65,7 +65,6 @@ def run_table2(
     root_seed: int = 20090302,
     n_jobs: int | None = None,
     max_paths: int = DEFAULT_MAX_PATHS,
-    engine: str = "batch",
     store: "ResultStore | None" = None,
 ) -> list[Table2Row]:
     """Run the full campaign (or a scaled-down version).
@@ -78,9 +77,6 @@ def run_table2(
         Which communication models to sweep.
     n_jobs:
         Parallel worker processes (0 = all cores).
-    engine:
-        Evaluation engine passed to :func:`run_family` (``"batch"`` or
-        ``"percall"``; identical records either way).
     store:
         Optional content-addressed store passed to :func:`run_family`:
         re-running Table 2 (or scaling it up) only computes the points
@@ -98,7 +94,6 @@ def run_table2(
                 root_seed=root_seed,
                 n_jobs=n_jobs,
                 max_paths=max_paths,
-                engine=engine,
                 store=store,
             )
             no_crit = [r for r in records if not r.critical]

@@ -30,7 +30,7 @@ each rung, and the last survivor drains the pool.
 All restarts share one :class:`~repro.engine.batch.BatchEngine`, so a
 mapping topology proposed twice — common, neighborhoods overlap heavily
 — reuses its TPN skeleton and Howard plan; neighborhood scans route
-through the engine's ``evaluate_many``, which locksteps any
+through the engine's ``evaluate(mode="many")``, which locksteps any
 same-topology candidate runs through the batched Howard solver
 (:func:`repro.maxplus.howard.solve_prepared_many`).  Pass
 ``warm_start=True`` to additionally seed policy iteration from the

@@ -20,9 +20,10 @@ from repro.campaign import (
     export_campaign_json,
     order_for_engine,
     run_campaign,
+    run_campaign_worker,
 )
 from repro.cli import main
-from repro.engine import topology_signature
+from repro.engine import BatchEngine, topology_signature
 from repro.errors import ValidationError
 
 SPEC_DICT = {
@@ -92,6 +93,65 @@ class TestResume:
             assert status["done"] == 3
             assert sum(c["done"] for c in status["cells"]) == 3
             assert sum(c["total"] for c in status["cells"]) == spec.n_points
+
+
+def _lease_rows(store):
+    return store.connection.execute("SELECT COUNT(*) FROM leases").fetchone()[0]
+
+
+class TestDrain:
+    """run_campaign drains through the fabric's claim loop."""
+
+    def test_parallel_needs_file_store_and_full_drain(self, spec, tmp_path):
+        with pytest.raises(ValidationError):
+            run_campaign(spec, ResultStore(":memory:"), n_jobs=2)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(ValidationError):
+                run_campaign(spec, store, n_jobs=2, max_points=3)
+            assert len(store) == 0
+
+    def test_serial_run_leaves_no_leases(self, spec, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            assert run_campaign(spec, store).complete
+            assert _lease_rows(store) == 0
+
+    def test_interrupted_run_hands_back_its_claims(
+        self, spec, tmp_path, monkeypatch
+    ):
+        real = BatchEngine.evaluate
+        calls = []
+
+        def interrupted(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchEngine, "evaluate", interrupted)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(spec, store, commit_every=4)
+            # the second chunk's claims are released, not left to expire
+            assert (len(store), _lease_rows(store)) == (4, 0)
+            monkeypatch.setattr(BatchEngine, "evaluate", real)
+            report = run_campaign(spec, store)
+            assert report.hits == 4 and report.complete
+
+    def test_claim_loop_does_not_rescan_per_claim(self, spec, monkeypatch):
+        scans = []
+        real = ResultStore.digests
+
+        def counted(self):
+            scans.append(1)
+            return real(self)
+
+        monkeypatch.setattr(ResultStore, "digests", counted)
+        store = ResultStore(":memory:")
+        done = run_campaign_worker(spec, store, "solo", claim_batch=2)
+        assert done == len(store) > 4
+        # one scan to start, one when the cursor runs dry — not one per
+        # claim of two digests
+        assert len(scans) == 2
 
 
 class TestOrdering:

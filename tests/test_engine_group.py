@@ -1,7 +1,7 @@
 """Group (lockstep) evaluation path of the batch engine.
 
-Pins the PR-4 contracts: `evaluate_many`/`evaluate_group` results are
-bit-identical to per-pair evaluation and to `compute_period`; the
+Pins the PR-4 contracts: `evaluate(mode="many")`/`evaluate(mode="group")`
+results are bit-identical to per-pair evaluation and to `compute_period`; the
 batched `CycleTimePlan.verdict_many` equals the scalar verdict; and the
 `engine=` + parallel `n_jobs` combination fails loudly instead of
 silently dropping the engine.
@@ -18,8 +18,7 @@ from repro.engine import (
     MIN_GROUP_ROWS,
     BatchEngine,
     build_cycle_time_plan,
-    evaluate_batch,
-    evaluate_stream,
+    evaluate,
 )
 from repro.errors import ValidationError
 
@@ -61,7 +60,7 @@ def assert_same_result(a, b):
 class TestGroupBitIdentity:
     def test_group_matches_compute_period(self):
         insts = group_sweep((2, 3, 1), 16, seed=1)
-        grouped = evaluate_batch(insts, "strict", method="tpn")
+        grouped = evaluate(insts, "strict", method="tpn")
         for inst, res in zip(insts, grouped):
             assert_same_result(res, compute_period(inst, "strict", method="tpn"))
 
@@ -70,7 +69,7 @@ class TestGroupBitIdentity:
         scalar_engine = BatchEngine()
         scalar = [scalar_engine.evaluate(i, "strict") for i in insts]
         group_engine = BatchEngine()
-        grouped = group_engine.evaluate_many(insts, "strict")
+        grouped = group_engine.evaluate(insts, "strict", mode="many")
         for s, g in zip(scalar, grouped):
             assert_same_result(s, g)
         # Cache-stat parity with the per-pair loop.
@@ -83,28 +82,28 @@ class TestGroupBitIdentity:
         b = group_sweep((3, 2, 1), 4, seed=4)
         interleaved = [a[0], a[1], b[0], b[1], b[2], a[2], a[3], a[4], b[3]]
         engine = BatchEngine()
-        grouped = engine.evaluate_many(interleaved, "strict")
+        grouped = engine.evaluate(interleaved, "strict", mode="many")
         for inst, res in zip(interleaved, grouped):
             assert_same_result(res, compute_period(inst, "strict", method="tpn"))
 
     def test_stream_and_batch_agree_with_group_path(self):
         insts = group_sweep((2, 3, 1), MIN_GROUP_ROWS * 4, seed=5)
-        streamed = list(evaluate_stream(insts, "strict", method="tpn"))
-        batched = evaluate_batch(insts, "strict", method="tpn")
+        streamed = list(evaluate(insts, "strict", method="tpn", mode="stream"))
+        batched = evaluate(insts, "strict", method="tpn")
         for s, b in zip(streamed, batched):
             assert_same_result(s, b)
 
     def test_sharded_matches_serial_group_path(self):
         insts = group_sweep((2, 3, 1), 24, seed=6)
-        serial = evaluate_batch(insts, "strict", method="tpn")
-        sharded = evaluate_batch(insts, "strict", method="tpn", n_jobs=2)
+        serial = evaluate(insts, "strict", method="tpn")
+        sharded = evaluate(insts, "strict", method="tpn", n_jobs=2)
         for s, p in zip(serial, sharded):
             assert_same_result(s, p)
 
     def test_warm_group_values_match_cold(self):
         insts = group_sweep((6, 10, 15), 10, seed=7)
-        cold = evaluate_batch(insts, "strict", method="tpn")
-        warm = BatchEngine(warm_start=True).evaluate_many(insts, "strict")
+        cold = evaluate(insts, "strict", method="tpn")
+        warm = BatchEngine(warm_start=True).evaluate(insts, "strict", mode="many")
         for c, w in zip(cold, warm):
             assert c.period == w.period
             assert c.mct == w.mct
@@ -112,7 +111,7 @@ class TestGroupBitIdentity:
 
     def test_overlap_auto_routes_polynomial_per_pair(self):
         insts = group_sweep((2, 2, 1), 6, seed=8)
-        grouped = BatchEngine().evaluate_many(insts, "overlap")
+        grouped = BatchEngine().evaluate(insts, "overlap", mode="many")
         for inst, res in zip(insts, grouped):
             assert res.method == "polynomial"
             assert res.period == compute_period(inst, "overlap").period
@@ -139,11 +138,11 @@ class TestEvaluateGroupValidation:
         a = group_sweep((2, 1), 2, seed=12)
         b = group_sweep((1, 2), 1, seed=13)
         with pytest.raises(ValidationError, match="topology signature"):
-            BatchEngine().evaluate_group(a + b, "strict")
+            BatchEngine().evaluate(a + b, "strict", mode="group")
 
     def test_single_topology_group_is_fine(self):
         insts = group_sweep((2, 1), 3, seed=14)
-        res = BatchEngine().evaluate_group(insts, "strict")
+        res = BatchEngine().evaluate(insts, "strict", mode="group")
         for inst, r in zip(insts, res):
             assert r.period == compute_period(inst, "strict", method="tpn").period
 
@@ -153,12 +152,12 @@ class TestEngineJobsValidation:
         insts = group_sweep((2, 1), 6, seed=10)
         engine = BatchEngine()
         with pytest.raises(ValidationError, match="serial-path"):
-            evaluate_batch(insts, "strict", engine=engine, n_jobs=2)
+            evaluate(insts, "strict", engine=engine, n_jobs=2)
         with pytest.raises(ValidationError, match="serial-path"):
-            list(evaluate_stream(insts, "strict", engine=engine, n_jobs=0))
+            list(evaluate(insts, "strict", engine=engine, n_jobs=0, mode="stream"))
 
     def test_engine_with_serial_jobs_is_fine(self):
         insts = group_sweep((2, 1), 4, seed=11)
         engine = BatchEngine()
-        res = evaluate_batch(insts, "strict", engine=engine, n_jobs=1)
+        res = evaluate(insts, "strict", engine=engine, n_jobs=1)
         assert len(res) == 4 and engine.stats.evaluated == 4

@@ -16,7 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.experiments import TABLE2_CONFIGS, family_seeds, run_family
+from repro.experiments import (
+    TABLE2_CONFIGS,
+    family_seeds,
+    run_family,
+    run_single,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -69,21 +74,16 @@ class TestStableSeeding:
 
 class TestEngineEquivalence:
     def test_batch_engine_matches_percall(self):
+        """Batched records equal one ``run_single`` (``compute_period``)
+        call per seed."""
         cfg = TABLE2_CONFIGS[4]
-        batch = run_family(cfg, "strict", count=5, n_jobs=1, engine="batch")
-        percall = run_family(cfg, "strict", count=5, n_jobs=1, engine="percall")
+        batch = run_family(cfg, "strict", count=5, n_jobs=1)
+        percall = [run_single(cfg, "strict", s)
+                   for s in family_seeds(cfg, "strict", 5)]
         assert batch == percall
 
     def test_batch_parallel_matches_serial(self):
         cfg = TABLE2_CONFIGS[4]
-        serial = run_family(cfg, "overlap", count=6, n_jobs=1, engine="batch")
-        parallel = run_family(cfg, "overlap", count=6, n_jobs=2, engine="batch")
+        serial = run_family(cfg, "overlap", count=6, n_jobs=1)
+        parallel = run_family(cfg, "overlap", count=6, n_jobs=2)
         assert serial == parallel
-
-    def test_unknown_engine_rejected(self):
-        import pytest
-
-        from repro.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            run_family(TABLE2_CONFIGS[4], "overlap", count=1, engine="bogus")

@@ -2,8 +2,9 @@
 
 The central contract of PR 8: instrumentation observes without
 perturbing.  The *contract* counter tier is partition-invariant —
-identical totals for a serial run, a span-parallel ``n_jobs=2`` run,
-and a 3-process lease fabric of one campaign spec — while disabled
+identical totals for an in-process run, an ``n_jobs=2`` run (two
+fabric worker processes) and a 3-process lease fabric of one campaign
+spec — while disabled
 telemetry adds exactly zero entries to the collector.  Wall-clock spans
 live in a separate channel that no logic ever reads back.
 """
