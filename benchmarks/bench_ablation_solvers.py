@@ -70,5 +70,5 @@ def bench_solvers_agree_on_example_b(benchmark):
     assert m == pytest.approx(3500.0)
     report(benchmark, "Ablation: three solvers on Example B overlap",
            [("Howard", 3500, round(h, 4)),
-            ("Lawler", 3500, round(l, 4)),
+            ("Lawler", 3500, round(law, 4)),
             ("matrix+Karp", 3500, round(m, 4))])

@@ -24,6 +24,12 @@ a slowly-varying sweep (1% jitter around one base instance, the shape of
 a mapping-search neighborhood) the carried policy must cut total
 policy-iteration rounds by at least 2x.
 
+The third pins the count-keyed skeleton cache: one seeded strict
+``portfolio_search`` builds exactly one TPN skeleton per distinct
+``(model, replication counts)`` among the mappings it evaluates, and
+that number is strictly below the number of distinct processor
+assignments (swaps and rotations reuse their topology's skeleton).
+
 Run standalone (asserts both facts)::
 
     PYTHONPATH=src python benchmarks/bench_portfolio.py
@@ -37,10 +43,12 @@ or under pytest-benchmark::
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from repro import Application, Platform
+from repro import Application, Instance, Platform
 from repro.engine import BatchEngine
 from repro.extensions import local_search_mapping
 from repro.search import EvaluationBudget, portfolio_search
@@ -257,6 +265,73 @@ def run_warm_start_rounds(n_instances: int = 200) -> dict:
     }
 
 
+@dataclass
+class _RecordingEngine(BatchEngine):
+    """A :class:`BatchEngine` that remembers every mapping it evaluates."""
+
+    mappings: list = field(default_factory=list)
+
+    def evaluate(self, instances: Any, models: Any, *args: Any, **kwargs: Any) -> Any:
+        if isinstance(instances, Instance):
+            self.mappings.append(instances.mapping)
+        else:
+            instances = list(instances)
+            self.mappings.extend(inst.mapping for inst in instances)
+        return super().evaluate(instances, models, *args, **kwargs)
+
+
+#: Oracle allowance of the seeded strict search behind the build contract.
+BUILD_BUDGET = 300
+
+
+def run_build_contract() -> dict:
+    """Skeleton builds of one seeded strict search vs its count keys.
+
+    Strict periods come from TPN + Howard, so every evaluation goes
+    through the skeleton cache; ``engine.stats.misses`` counts builds.
+    The cache holds far more entries than the search has count keys,
+    so nothing is evicted and the count is a deterministic contract.
+    """
+    engine = _RecordingEngine()
+    res = portfolio_search(
+        APP, make_platform(), "strict", n_restarts=N_RESTARTS,
+        budget=BUILD_BUDGET, max_iters=10_000, engine=engine,
+    )
+    count_keys = {("strict", m.replication_counts) for m in engine.mappings}
+    assignments = {m.assignments for m in engine.mappings}
+    return {
+        "period": res.period,
+        "evaluated": len(engine.mappings),
+        "builds": engine.stats.misses,
+        "count_keys": len(count_keys),
+        "assignments": len(assignments),
+        "one_build_per_count_key": engine.stats.misses == len(count_keys),
+        "count_keys_merge_assignments": len(count_keys) < len(assignments),
+    }
+
+
+def _check_build_contract(stats: dict) -> None:
+    assert stats["one_build_per_count_key"], (
+        f"{stats['builds']} skeleton builds for {stats['count_keys']} "
+        f"distinct (model, replication counts) keys"
+    )
+    assert stats["count_keys_merge_assignments"], (
+        f"{stats['count_keys']} count keys for {stats['assignments']} "
+        f"distinct assignments: the search never reused a topology"
+    )
+
+
+def bench_count_keyed_builds(benchmark):
+    stats = benchmark.pedantic(run_build_contract, rounds=1, iterations=1)
+    _check_build_contract(stats)
+    report(benchmark, f"Count-keyed skeleton cache (strict search, "
+                      f"budget {BUILD_BUDGET})",
+           [("skeleton builds", "= count keys",
+             f"{stats['builds']} / {stats['count_keys']}"),
+            ("count keys", "< assignments",
+             f"{stats['count_keys']} / {stats['assignments']}")])
+
+
 def bench_racing_dominates_fair_share(benchmark):
     stats = benchmark.pedantic(run_three_way, rounds=1, iterations=1)
     assert stats["rugged_seeds_are_rugged"], (
@@ -366,6 +441,13 @@ def main() -> int:
         f"round reduction {rounds['reduction']:.2f}x below "
         f"{MIN_ROUND_REDUCTION}x"
     )
+    builds = run_build_contract()
+    print(f"\ncount-keyed skeleton cache: strict search, budget "
+          f"{BUILD_BUDGET}, {builds['evaluated']} evaluations")
+    print(f"skeleton builds : {builds['builds']} "
+          f"(distinct count keys: {builds['count_keys']})")
+    print(f"assignments     : {builds['assignments']} distinct")
+    _check_build_contract(builds)
     print("OK")
     return 0
 

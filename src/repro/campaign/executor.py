@@ -111,7 +111,9 @@ class CampaignReport:
         Points still missing afterwards (non-zero only when the run was
         truncated by ``max_points``).
     groups:
-        Distinct TPN topology groups among the evaluated points.
+        Distinct TPN topology groups — ``(model, replication counts)``
+        signatures — among the evaluated points.  Mappings that differ
+        only in which processors fill the replica slots share a group.
     """
 
     spec_name: str
@@ -163,7 +165,7 @@ def order_for_engine(
     >>> order_for_engine([(a, "strict"), (b, "strict"), (a, "strict")])
     [0, 2, 1]
     """
-    groups: dict[tuple[str, tuple[tuple[int, ...], ...]], list[int]] = {}
+    groups: dict[tuple[str, tuple[int, ...]], list[int]] = {}
     for i, (inst, model) in enumerate(pairs):
         groups.setdefault(topology_signature(inst, model), []).append(i)
     return [i for members in groups.values() for i in members]

@@ -11,8 +11,9 @@ all instances of a sweep share one mapping topology.
 This package amortizes that hot path:
 
 * :func:`~repro.engine.signature.topology_signature` — hashable key
-  identifying the (model, mapping) structure an instance shares with its
-  sweep siblings;
+  ``(model, replication counts)`` identifying the TPN structure an
+  instance shares with its sweep siblings, whichever processors they
+  use;
 * :class:`~repro.engine.skeleton.TpnSkeleton` — the cached structural
   artifact of one group: TPN transition/place layout, CSR-prepared
   max-plus solver plan, and vectorized duration stamping arrays;

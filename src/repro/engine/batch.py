@@ -72,7 +72,7 @@ from ..maxplus.howard import HowardState
 from ..petri.builder import DEFAULT_MAX_ROWS
 from ..telemetry import TELEMETRY
 from .classify import CycleTimePlan, build_cycle_time_plan
-from .signature import topology_signature
+from .signature import slot_processors, topology_signature
 from .skeleton import TpnSkeleton, build_skeleton
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -413,6 +413,8 @@ class BatchEngine:
             TELEMETRY.count("engine.points." + method)
             TELEMETRY.count("engine.paths", inst.num_paths)
         key = topology_signature(inst, model)
+        # One gather per evaluation, shared by the stamp and the verdict.
+        procs = slot_processors(inst)
         breakdown: OverlapBreakdown | None = None
         solution: TpnSolution | None = None
         if method == "polynomial":
@@ -428,7 +430,7 @@ class BatchEngine:
             sk.check_budget(self.max_rows)
             state = self._warm_states.setdefault(key, HowardState()) \
                 if self.warm_start else None
-            ratio = sk.solve(inst, state=state)
+            ratio = sk.solve(inst, state=state, procs=procs)
             period = ratio.value / sk.m
             solution = TpnSolution(period=period, ratio=ratio, net=None)
         elif method == "simulation":
@@ -445,7 +447,7 @@ class BatchEngine:
         # Classification through the cached index-array plan: bit-identical
         # to classify_critical_resource, ~3x cheaper per evaluation.
         mct, has_critical, _ = self._ct_plan_for(key, inst, model).verdict(
-            inst, period
+            inst, period, procs=procs
         )
         return PeriodResult(
             period=period,
@@ -487,7 +489,7 @@ class BatchEngine:
             # numbers — fail loudly instead.
             raise ValidationError(
                 "mode='group' requires every instance to share one "
-                "topology signature (model + mapping assignments); "
+                "topology signature (model + replication counts); "
                 "use mode='many' for mixed batches"
             )
         return list(self._evaluate_sequence(pairs, method=method))
@@ -515,12 +517,13 @@ class BatchEngine:
         sk.check_budget(self.max_rows)
         state = self._warm_states.setdefault(key, HowardState()) \
             if self.warm_start else None
+        procs = slot_processors(instances)
         with TELEMETRY.span("group-solve", rows=B):
-            ratios = sk.solve_many(list(instances), state=state)
+            ratios = sk.solve_many(list(instances), state=state, procs=procs)
         periods = [r.value / sk.m for r in ratios]
         ct_plan = self._ct_plan_for(key, instances[0], model)
         mcts, crits, _ = ct_plan.verdict_many(
-            list(instances), np.asarray(periods)
+            list(instances), np.asarray(periods), procs=procs
         )
         out = []
         for b, inst in enumerate(instances):

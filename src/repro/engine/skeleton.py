@@ -1,12 +1,19 @@
 """Cached TPN skeletons: build once per topology, re-stamp weights per instance.
 
-A :class:`TpnSkeleton` captures everything about a ``(model, mapping)``
-group that does not depend on the instance's times:
+A :class:`TpnSkeleton` captures everything about a ``(model, replication
+counts)`` group that does not depend on the instance's times or on
+which processors fill its replica slots (see
+:mod:`repro.engine.signature`: a processor executes at most one stage,
+rule 1 of :mod:`repro.core.mapping`, so the net's structure is a function
+of the counts alone):
 
 * the net's transition layout, flattened into numpy arrays
-  (``comp_mask``, ``stage_or_file``, ``proc_u``, ``proc_v``) that let
+  (``comp_mask``, ``stage_or_file``, ``slot_u``, ``slot_v``) that let
   :meth:`TpnSkeleton.stamp_durations` compute all firing durations with
   three vectorized expressions instead of ``m * (2n - 1)`` Python calls;
+  ``slot_u``/``slot_v`` index the mapping's stage-then-replica order
+  (:attr:`~repro.core.mapping.Mapping.used_processors`), and each
+  instance's processor ids are gathered from it at stamp time;
 * the place list as ``(edge_src, edge_dst, edge_tokens)`` arrays — the
   cycle-ratio graph's structure;
 * the CSR-prepared Howard plan
@@ -51,13 +58,14 @@ from ..maxplus.howard import (
 from ..maxplus.lawler import max_cycle_ratio_lawler
 from ..petri.builder import DEFAULT_MAX_ROWS, build_tpn
 from ..telemetry import TELEMETRY
+from .signature import slot_processors
 
 __all__ = ["TpnSkeleton", "build_skeleton"]
 
 
 @dataclass(frozen=True)
 class TpnSkeleton:
-    """Structural cache entry for one ``(model, mapping)`` topology group.
+    """Structural cache entry for one ``(model, replication counts)`` group.
 
     Attributes
     ----------
@@ -71,9 +79,10 @@ class TpnSkeleton:
         Boolean per transition: ``True`` for computations.
     stage_or_file:
         Stage index (computations) or file index (transmissions).
-    proc_u, proc_v:
-        Executing processor, resp. (sender, receiver) pair; ``proc_v``
-        is ``-1`` on computation rows.
+    slot_u, slot_v:
+        Slot (index into ``mapping.used_processors``) of the executing
+        processor, resp. of the (sender, receiver) pair; ``slot_v`` is
+        ``-1`` on computation rows.
     edge_src, edge_dst, edge_tokens:
         Place arrays of the reduced cycle-ratio graph.
     plan:
@@ -85,8 +94,8 @@ class TpnSkeleton:
     n_transitions: int
     comp_mask: npt.NDArray[np.bool_]
     stage_or_file: npt.NDArray[np.int64]
-    proc_u: npt.NDArray[np.int64]
-    proc_v: npt.NDArray[np.int64]
+    slot_u: npt.NDArray[np.int64]
+    slot_v: npt.NDArray[np.int64]
     edge_src: npt.NDArray[np.int64]
     edge_dst: npt.NDArray[np.int64]
     edge_tokens: npt.NDArray[np.int64]
@@ -97,40 +106,50 @@ class TpnSkeleton:
         if max_rows is not None and self.m > max_rows:
             raise ReplicationExplosionError(self.m, max_rows)
 
-    def stamp_durations(self, inst: Instance) -> npt.NDArray[np.float64]:
+    def stamp_durations(
+        self, inst: Instance, procs: npt.NDArray[np.int64] | None = None
+    ) -> npt.NDArray[np.float64]:
         """Per-transition firing durations of ``inst`` (vectorized).
 
         Equals ``[t.duration for t in build_tpn(inst, model).transitions]``
         bit-for-bit: ``w_i / Pi_u`` for computations, ``delta_i / b_{u,v}``
         for transmissions (0 on infinite-bandwidth links, exactly as
-        :meth:`Platform.comm_time` returns).
+        :meth:`Platform.comm_time` returns).  ``procs`` is
+        ``slot_processors(inst)``, gathered here when not passed.
         """
+        if procs is None:
+            procs = slot_processors(inst)
         dur = np.empty(self.n_transitions)
         cm = self.comp_mask
         works = np.asarray(inst.application.works, dtype=float)
-        dur[cm] = works[self.stage_or_file[cm]] / inst.platform.speeds[self.proc_u[cm]]
+        dur[cm] = works[self.stage_or_file[cm]] / inst.platform.speeds[
+            procs[self.slot_u[cm]]
+        ]
         comm = ~cm
         if comm.any():
             sizes = np.asarray(inst.application.file_sizes, dtype=float)
             # size / inf == 0.0, matching Platform.comm_time's fast-link case.
             dur[comm] = sizes[self.stage_or_file[comm]] / inst.platform.bandwidths[
-                self.proc_u[comm], self.proc_v[comm]
+                procs[self.slot_u[comm]], procs[self.slot_v[comm]]
             ]
         return dur
 
-    def stamp_weights(self, inst: Instance) -> npt.NDArray[np.float64]:
+    def stamp_weights(
+        self, inst: Instance, procs: npt.NDArray[np.int64] | None = None
+    ) -> npt.NDArray[np.float64]:
         """Edge weights of the cycle-ratio graph for ``inst``.
 
         The weight of a place is the duration of its *input* transition
         (see :meth:`TimedEventGraph.to_ratio_graph`).
         """
-        return self.stamp_durations(inst)[self.edge_src]
+        return self.stamp_durations(inst, procs)[self.edge_src]
 
     def solve(
         self,
         inst: Instance,
         solver: str = "auto",
         state: HowardState | None = None,
+        procs: npt.NDArray[np.int64] | None = None,
     ) -> CycleRatioResult:
         """Maximum cycle ratio for ``inst`` on the cached structure.
 
@@ -143,9 +162,10 @@ class TpnSkeleton:
         :class:`~repro.maxplus.howard.HowardState`); the period *value*
         is unchanged, but the extracted critical cycle may differ on
         exact ties, which is why :class:`~repro.engine.batch.BatchEngine`
-        keeps warm starting opt-in.
+        keeps warm starting opt-in.  ``procs`` as in
+        :meth:`stamp_durations`.
         """
-        weights = self.stamp_weights(inst)
+        weights = self.stamp_weights(inst, procs)
         if solver == "lawler":
             return CycleRatioResult(
                 max_cycle_ratio_lawler(self._graph(weights)), (), (), "lawler"
@@ -162,15 +182,25 @@ class TpnSkeleton:
                 max_cycle_ratio_lawler(self._graph(weights)), (), (), "lawler"
             )
 
-    def stamp_durations_many(self, instances: list[Instance]) -> npt.NDArray[np.float64]:
+    def stamp_durations_many(
+        self,
+        instances: list[Instance],
+        procs: npt.NDArray[np.int64] | None = None,
+    ) -> npt.NDArray[np.float64]:
         """``(B, n_transitions)`` firing-duration matrix of a whole group.
 
         Row ``b`` equals ``stamp_durations(instances[b])`` bit for bit:
         the stacked formulation performs the same elementwise IEEE-754
-        divisions, just over a batch axis.  Falls back to per-row
-        stamping when the group's platforms disagree in size (legal —
-        the signature only pins the *used* processor indices).
+        divisions, just over a batch axis, with row ``b``'s processor
+        ids gathered as ``procs[b, slot]`` (``procs`` is the group's
+        ``(B, S)`` :func:`~repro.engine.signature.slot_processors`).
+        Falls back to per-row stamping when the group's platforms
+        disagree in size (legal — the signature pins only the
+        replication counts, so members may use different processors
+        of different platforms).
         """
+        if procs is None:
+            procs = slot_processors(instances)
         dur = np.empty((len(instances), self.n_transitions))
         try:
             works = np.stack(
@@ -179,10 +209,13 @@ class TpnSkeleton:
             speeds = np.stack([i.platform.speeds for i in instances])
         except ValueError:  # ragged platforms: stamp row by row
             for b, inst in enumerate(instances):
-                dur[b] = self.stamp_durations(inst)
+                dur[b] = self.stamp_durations(inst, procs[b])
             return dur
+        rows = np.arange(len(instances))[:, None]
         cm = self.comp_mask
-        dur[:, cm] = works[:, self.stage_or_file[cm]] / speeds[:, self.proc_u[cm]]
+        dur[:, cm] = works[:, self.stage_or_file[cm]] / speeds[
+            rows, procs[:, self.slot_u[cm]]
+        ]
         comm = ~cm
         if comm.any():
             sizes = np.stack(
@@ -190,19 +223,24 @@ class TpnSkeleton:
             )
             bw = np.stack([i.platform.bandwidths for i in instances])
             dur[:, comm] = sizes[:, self.stage_or_file[comm]] / bw[
-                :, self.proc_u[comm], self.proc_v[comm]
+                rows, procs[:, self.slot_u[comm]], procs[:, self.slot_v[comm]]
             ]
         return dur
 
-    def stamp_weights_many(self, instances: list[Instance]) -> npt.NDArray[np.float64]:
+    def stamp_weights_many(
+        self,
+        instances: list[Instance],
+        procs: npt.NDArray[np.int64] | None = None,
+    ) -> npt.NDArray[np.float64]:
         """``(B, n_edges)`` cycle-ratio weight matrix of a whole group."""
-        return self.stamp_durations_many(instances)[:, self.edge_src]
+        return self.stamp_durations_many(instances, procs)[:, self.edge_src]
 
     def solve_many(
         self,
         instances: list[Instance],
         solver: str = "auto",
         state: HowardState | None = None,
+        procs: npt.NDArray[np.int64] | None = None,
     ) -> list[CycleRatioResult]:
         """Maximum cycle ratios for a whole topology group, in lockstep.
 
@@ -223,14 +261,15 @@ class TpnSkeleton:
         Any :class:`~repro.errors.SolverError` from the lockstep path
         (non-convergence, acyclic graph) falls back to per-instance
         :meth:`solve` so errors and Lawler dispatch behave exactly like
-        the scalar path, row by row.
+        the scalar path, row by row.  ``procs`` as in
+        :meth:`stamp_durations_many`.
         """
         if solver == "lawler":
             return [self.solve(inst, solver="lawler") for inst in instances]
         if solver not in ("auto", "howard"):
             raise ValueError(f"unknown method {solver!r}")
         try:
-            weights = self.stamp_weights_many(instances)
+            weights = self.stamp_weights_many(instances, procs)
             many = solve_prepared_many(self.plan, weights, state=state)
             return [
                 CycleRatioResult(r.value, r.cycle_nodes, r.cycle_edges, "howard")
@@ -260,8 +299,9 @@ def build_skeleton(
     """Build the structural skeleton from one representative instance.
 
     Any instance of the topology group works as representative: the
-    extracted arrays and the Howard plan depend only on the mapping's
-    assignments and the model.
+    extracted arrays and the Howard plan depend only on the model and
+    the mapping's replication counts — transitions record the *slot* of
+    their processors, never the processor id.
     """
     model = CommModel.parse(model)
     net = build_tpn(inst, model, max_rows=max_rows)
@@ -271,14 +311,15 @@ def build_skeleton(
     n_t = net.n_transitions
     comp_mask = np.empty(n_t, dtype=bool)
     stage_or_file = np.empty(n_t, dtype=np.int64)
-    proc_u = np.empty(n_t, dtype=np.int64)
-    proc_v = np.full(n_t, -1, dtype=np.int64)
+    slot_u = np.empty(n_t, dtype=np.int64)
+    slot_v = np.full(n_t, -1, dtype=np.int64)
+    slot_of = {u: s for s, u in enumerate(inst.mapping.used_processors)}
     for t in net.transitions:
         comp_mask[t.index] = t.kind == "comp"
         stage_or_file[t.index] = t.stage_or_file
-        proc_u[t.index] = t.procs[0]
+        slot_u[t.index] = slot_of[t.procs[0]]
         if t.kind == "comm":
-            proc_v[t.index] = t.procs[1]
+            slot_v[t.index] = slot_of[t.procs[1]]
 
     return TpnSkeleton(
         model=model,
@@ -286,8 +327,8 @@ def build_skeleton(
         n_transitions=n_t,
         comp_mask=comp_mask,
         stage_or_file=stage_or_file,
-        proc_u=proc_u,
-        proc_v=proc_v,
+        slot_u=slot_u,
+        slot_v=slot_v,
         edge_src=graph.src,
         edge_dst=graph.dst,
         edge_tokens=graph.tokens,

@@ -28,8 +28,9 @@ earlier index) resume their checkpointed climbs with doubled slices
 each rung, and the last survivor drains the pool.
 
 All restarts share one :class:`~repro.engine.batch.BatchEngine`, so a
-mapping topology proposed twice — common, neighborhoods overlap heavily
-— reuses its TPN skeleton and Howard plan; neighborhood scans route
+topology proposed twice — any mapping with the same replication counts,
+which covers every swap and rotation move — reuses its TPN skeleton and
+Howard plan; neighborhood scans route
 through the engine's ``evaluate(mode="many")``, which locksteps any
 same-topology candidate runs through the batched Howard solver
 (:func:`repro.maxplus.howard.solve_prepared_many`).  Pass

@@ -25,6 +25,7 @@ from repro.campaign import (
 from repro.cli import main
 from repro.engine import BatchEngine, topology_signature
 from repro.errors import ValidationError
+from repro.telemetry import merge_traces, trace_files
 
 SPEC_DICT = {
     "name": "executor-test",
@@ -182,6 +183,23 @@ class TestOrdering:
             topology_signature(p.instance(), p.model) for p in points
         })
         assert report.groups == n_groups
+
+    def test_skeleton_builds_bounded_by_count_signatures(self, tmp_path):
+        spec = CampaignSpec.from_dict(
+            {**SPEC_DICT, "name": "count-keys", "draws": 6, "root_seed": 3}
+        )
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            run_campaign(spec, store, trace_dir=tmp_path / "trace")
+        counters = merge_traces(trace_files(tmp_path / "trace"))["counters"]
+        pairs = [(p.instance(), p.model) for p in spec.expand()]
+        count_keys = {topology_signature(*pair) for pair in pairs}
+        assert counters["engine.skeleton_builds"] <= len(count_keys)
+        # Only strict points build skeletons: exactly one per count key.
+        assert counters["engine.skeleton_builds"] == len({
+            topology_signature(*pair) for pair in pairs if pair[1] == "strict"})
+        # The count key merges mappings that differ only in processors.
+        assert len(count_keys) < len(
+            {(model, inst.mapping.assignments) for inst, model in pairs})
 
 
 class TestExports:

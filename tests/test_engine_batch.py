@@ -123,10 +123,17 @@ class TestBitIdentity:
 
 
 class TestCacheSemantics:
-    def test_signature_groups_by_model_and_mapping(self):
+    def test_signature_groups_by_model_and_replication_counts(self):
         a, b = shared_topology_instances(count=2)
         assert topology_signature(a, "overlap") == topology_signature(b, "overlap")
         assert topology_signature(a, "overlap") != topology_signature(a, "strict")
+        # Relabelled processors keep the key; different counts change it.
+        swapped = Instance(a.application, a.platform,
+                           Mapping([(5, 4), (3, 2, 1), (0,)]))
+        assert topology_signature(swapped, "strict") == topology_signature(a, "strict")
+        recounted = Instance(a.application, a.platform,
+                             Mapping([(0,), (1, 2, 3), (4, 5)]))
+        assert topology_signature(recounted, "strict") != topology_signature(a, "strict")
 
     def test_cache_hit_returns_identical_results(self):
         inst = shared_topology_instances(count=1)[0]

@@ -46,6 +46,35 @@ def group_sweep(counts, n_instances, seed=0, works=None):
     return out
 
 
+def mixed_label_sweep(counts, n_instances, seed=0, big_extra=5):
+    """Instances sharing replication counts on *different* processors.
+
+    Each draw places the stages on a random subset of a platform with
+    two unused processors; the last one lives on a platform with
+    ``big_extra`` spares, so for ``big_extra != 2`` a group stacks
+    ragged platforms.
+    """
+    rng = np.random.default_rng(seed)
+    counts = list(counts)
+    n = len(counts)
+    bounds = np.cumsum([0] + counts)
+    app = Application(works=list(rng.uniform(1.0, 4.0, n)),
+                      file_sizes=list(rng.uniform(1.0, 4.0, n - 1)))
+    out = []
+    for b in range(n_instances):
+        p = sum(counts) + (big_extra if b == n_instances - 1 else 2)
+        used = rng.permutation(p)
+        mapping = Mapping(
+            [tuple(int(u) for u in used[bounds[i]:bounds[i + 1]]) for i in range(n)],
+            n_processors=p,
+        )
+        comp = rng.uniform(5.0, 15.0, p)
+        comm = rng.uniform(5.0, 15.0, (p, p))
+        np.fill_diagonal(comm, 0.0)
+        out.append(Instance(app, Platform.from_comm_times(comp, comm), mapping))
+    return out
+
+
 def assert_same_result(a, b):
     assert a.period == b.period
     assert a.throughput == b.throughput
@@ -117,6 +146,36 @@ class TestGroupBitIdentity:
             assert res.period == compute_period(inst, "overlap").period
 
 
+class TestMixedLabelGroups:
+    """One count signature, different processors: the lockstep hot path."""
+
+    @pytest.mark.parametrize("mode", ["group", "many"])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_rows_match_compute_period(self, mode, ragged):
+        insts = mixed_label_sweep((2, 3, 1), MIN_GROUP_ROWS + 3, seed=21,
+                                  big_extra=5 if ragged else 2)
+        assert len({i.mapping.assignments for i in insts}) == len(insts)
+        engine = BatchEngine()
+        grouped = engine.evaluate(insts, "strict", mode=mode)
+        for inst, res in zip(insts, grouped):
+            assert_same_result(res, compute_period(inst, "strict", method="tpn"))
+        assert engine.stats.group_solves == 1
+        assert engine.stats.misses == 1
+
+    def test_stamps_and_verdicts_match_per_row(self):
+        insts = mixed_label_sweep((3, 2, 2), 6, seed=22, big_extra=2)
+        engine = BatchEngine()
+        sk = engine.skeleton(insts[0], "strict")
+        plan = build_cycle_time_plan(insts[0], "strict")
+        weights = sk.stamp_weights_many(insts)
+        periods = np.arange(1.0, len(insts) + 1.0)
+        mct, crit, gap = plan.verdict_many(insts, periods)
+        for b, inst in enumerate(insts):
+            assert np.array_equal(weights[b], sk.stamp_weights(inst))
+            assert (float(mct[b]), bool(crit[b]), float(gap[b])) == \
+                plan.verdict(inst, float(periods[b]))
+
+
 class TestVerdictMany:
     @pytest.mark.parametrize("model", ["strict", "overlap"])
     def test_matches_scalar_verdict(self, model):
@@ -137,7 +196,7 @@ class TestEvaluateGroupValidation:
     def test_mixed_topologies_raise(self):
         a = group_sweep((2, 1), 2, seed=12)
         b = group_sweep((1, 2), 1, seed=13)
-        with pytest.raises(ValidationError, match="topology signature"):
+        with pytest.raises(ValidationError, match="replication counts"):
             BatchEngine().evaluate(a + b, "strict", mode="group")
 
     def test_single_topology_group_is_fine(self):
