@@ -13,6 +13,13 @@ per-call path performs ``n``).  Wall-clock speedup is reported, never
 gated — BENCH_4/5.json record the old wall-clock floors failing on CI
 hardware with no code defect.
 
+A second, OVERLAP contract covers the Theorem-1 path: a seeded sweep
+(a pinned ``[6, 10, 15]`` block mapping plus random ``balls`` mappings)
+evaluated in one ``mode="many"`` call must equal the generic oracle
+(one ``RatioGraph`` and ``max_cycle_ratio`` per pattern), build one
+torus plan per distinct ``(u, v)``, and lockstep-solve exactly
+:data:`OVERLAP_LOCKSTEP_ROWS` pattern rows.  Counts only, no clock.
+
 Run standalone (asserts identity and the single-build contract)::
 
     PYTHONPATH=src python benchmarks/bench_engine_batch.py
@@ -30,8 +37,11 @@ import time
 import numpy as np
 
 from repro import Application, Instance, Mapping, Platform
+from repro.campaign.spec import CampaignSpec
 from repro.core.throughput import compute_period
 from repro.engine import BatchEngine, evaluate
+from repro.petri.reduction import comm_patterns, computation_column
+from repro.telemetry import TELEMETRY
 
 try:  # pytest package context vs standalone `python benchmarks/...`
     from .conftest import report
@@ -41,6 +51,26 @@ except ImportError:  # pragma: no cover - standalone fallback
 #: Per-stage replication of the shared topology; lcm = 30 rows.
 REPLICATION = (2, 3, 5, 1)
 N_INSTANCES = 500
+
+
+#: Seeded OVERLAP sweep of the Theorem-1 contract: 12 draws of a pinned
+#: [6, 10, 15] block mapping and 12 random "balls" mappings on p = 31.
+OVERLAP_SPEC = {
+    "name": "bench-overlap-sweep",
+    "root_seed": 7,
+    "draws": 12,
+    "models": ["overlap"],
+    "applications": [{"synthetic": {"n_stages": 3, "shape": "balanced",
+                                    "scale": 10.0}}],
+    "platforms": [{"label": "table2-p31", "n_procs": 31, "kind": "times",
+                   "comp_time_range": [5, 15], "comm_time_range": [5, 15]}],
+    "replications": [{"fixed": [6, 10, 15], "assignment": "blocks"},
+                     {"policy": "balls"}],
+    "max_paths": 300,
+}
+#: Pattern rows the sweep solves in lockstep: 134 of its 157 components,
+#: those in ``(u, v)`` buckets of at least ``LOCKSTEP_MIN_ROWS`` (8).
+OVERLAP_LOCKSTEP_ROWS = 134
 
 
 def make_sweep(n_instances: int = N_INSTANCES, seed: int = 0) -> list[Instance]:
@@ -102,6 +132,62 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
     }
 
 
+def generic_period(inst: Instance) -> float:
+    """Theorem 1 through the generic path: a fresh ratio graph per pattern."""
+    cols = [computation_column(inst, i).contribution
+            for i in range(inst.n_stages)]
+    for i in range(inst.n_stages - 1):
+        cols.append(max(pat.critical_ratio() / pat.window
+                        for pat in comm_patterns(inst, i)))
+    return max(cols)
+
+
+def run_overlap_contract() -> dict:
+    """Evaluate the seeded OVERLAP sweep once; return identity and counts."""
+    instances = [pt.instance() for pt in CampaignSpec.from_dict(OVERLAP_SPEC).expand()]
+    tori = {(pat.u, pat.v) for inst in instances
+            for i in range(inst.n_stages - 1) for pat in comm_patterns(inst, i)}
+    TELEMETRY.enable("bench")
+    try:
+        results = BatchEngine().evaluate(instances, "overlap", mode="many")
+        counters = TELEMETRY.counter_snapshot()
+    finally:
+        TELEMETRY.disable()
+    return {
+        "n": len(instances),
+        "identical": all(r.period == generic_period(inst)
+                         for inst, r in zip(instances, results)),
+        "tori": len(tori),
+        "plan_builds": counters.get("poly.plan_builds", 0),
+        "pattern_rows": counters.get("poly.pattern_rows", 0),
+        "lockstep_rows": counters.get("poly.lockstep_rows", 0),
+        "tpn_lockstep_rows": counters.get("howard.lockstep_rows", 0),
+    }
+
+
+def check_overlap_contract(stats: dict) -> None:
+    """The Theorem-1 contract's deterministic gates."""
+    assert stats["identical"], "batched OVERLAP periods diverged from the oracle"
+    assert stats["plan_builds"] == stats["tori"], (
+        f"{stats['plan_builds']} torus plan builds for {stats['tori']} "
+        f"distinct (u, v)")
+    assert stats["lockstep_rows"] == OVERLAP_LOCKSTEP_ROWS, (
+        f"{stats['lockstep_rows']} pattern rows solved in lockstep "
+        f"(expected {OVERLAP_LOCKSTEP_ROWS})")
+    assert stats["tpn_lockstep_rows"] == 0, "pattern rows leaked into TPN rows"
+
+
+def bench_overlap_pattern_contract(benchmark):
+    stats = benchmark.pedantic(run_overlap_contract, rounds=1, iterations=1)
+    check_overlap_contract(stats)
+    report(benchmark, "Engine: Theorem-1 pattern plans (OVERLAP sweep)",
+           [("periods equal the generic oracle", "yes", stats["identical"]),
+            ("torus plan builds = distinct (u, v)", stats["tori"],
+             stats["plan_builds"]),
+            ("pattern rows in lockstep", OVERLAP_LOCKSTEP_ROWS,
+             stats["lockstep_rows"])])
+
+
 def bench_engine_batch_speedup(benchmark):
     instances = make_sweep(100)
     scalar = [compute_period(i, "strict", method="tpn") for i in instances]
@@ -152,6 +238,13 @@ def main() -> int:
         f"{stats['skeleton_builds']} skeleton builds for one shared "
         f"topology (expected exactly 1)"
     )
+    overlap = run_overlap_contract()
+    print(f"overlap sweep : {overlap['n']} instances, "
+          f"{overlap['pattern_rows']} pattern rows, "
+          f"{overlap['lockstep_rows']} in lockstep, "
+          f"{overlap['plan_builds']} plan builds for {overlap['tori']} tori, "
+          f"oracle-identical: {overlap['identical']}")
+    check_overlap_contract(overlap)
     print("OK")
     return 0
 

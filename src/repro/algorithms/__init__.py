@@ -6,7 +6,12 @@ from .bounds import (
     period_lower_bound,
 )
 from .general_tpn import TpnSolution, describe_critical_cycle, tpn_period
-from .overlap_poly import ColumnContribution, OverlapBreakdown, overlap_period
+from .overlap_poly import (
+    ColumnContribution,
+    OverlapBreakdown,
+    overlap_period,
+    overlap_period_many,
+)
 from .verify import PeriodCertificate, certify_period, check_certificate
 
 __all__ = [
@@ -14,6 +19,7 @@ __all__ = [
     "certify_period",
     "check_certificate",
     "overlap_period",
+    "overlap_period_many",
     "OverlapBreakdown",
     "ColumnContribution",
     "tpn_period",

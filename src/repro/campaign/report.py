@@ -234,8 +234,10 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
 
     Derived figures the raw counters bury: the skeleton-cache hit rate,
     how many points the lockstep (group) path solved versus the scalar
-    path, and how many group solves fell back to scalar row-by-row
-    evaluation.
+    path, how many group solves fell back to scalar row-by-row
+    evaluation, and the Theorem-1 pattern solves.  Pattern rows are
+    components, not points, so they are kept apart from the TPN
+    ``lockstep_rows``: ``lockstep_rows + scalar_points == points``.
     """
     def get(name: str) -> int:
         return int(counters.get(name, 0))
@@ -256,6 +258,9 @@ def _telemetry_section(counters: Mapping[str, int]) -> dict[str, Any]:
             "lockstep_solves": get("howard.lockstep_solves"),
             "lockstep_rows": get("howard.lockstep_rows"),
             "scalar_points": get("engine.points") - get("engine.group_rows"),
+            "pattern_rows": get("poly.pattern_rows"),
+            "pattern_lockstep_rows": get("poly.lockstep_rows"),
+            "pattern_plan_builds": get("poly.plan_builds"),
         },
     }
 
@@ -368,5 +373,10 @@ def render_report_text(data: Mapping[str, Any]) -> str:
         lines.append(
             f"  group fallbacks: {engine['group_fallbacks']} "
             f"({engine['group_fallback_rows']} rows re-solved scalar)"
+        )
+        lines.append(
+            f"  Theorem-1 patterns: {engine['pattern_rows']} rows "
+            f"({engine['pattern_lockstep_rows']} lockstep); "
+            f"{engine['pattern_plan_builds']} torus plan(s)"
         )
     return "\n".join(lines)

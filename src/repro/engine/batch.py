@@ -23,7 +23,11 @@ matrix and solved in lockstep by
 kicks in for runs of at least :data:`MIN_GROUP_ROWS` same-signature
 pairs and slabs huge groups at :data:`MAX_GROUP_ROWS` rows to bound the
 weight-matrix footprint.  Cold group results are bit-identical to
-per-pair :meth:`BatchEngine.evaluate` calls.
+per-pair :meth:`BatchEngine.evaluate` calls.  Runs of polynomial-method
+OVERLAP pairs, whatever their signatures, are batched the same way
+through :func:`repro.algorithms.overlap_poly.overlap_period_many`, whose
+Theorem-1 pattern components share one cached plan per ``(u, v)``
+torus and are lockstep-solved per torus bucket.
 
 Sharding is deterministic: the input order is cut into contiguous
 chunks of ``chunk_size`` pairs, chunks are dispatched in order to a
@@ -60,15 +64,20 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, overload
 
 import numpy as np
+import numpy.typing as npt
 
 from ..algorithms.general_tpn import TpnSolution
-from ..algorithms.overlap_poly import OverlapBreakdown, overlap_period
+from ..algorithms.overlap_poly import (
+    OverlapBreakdown,
+    overlap_period,
+    overlap_period_many,
+)
 from ..core.instance import Instance
 from ..core.models import CommModel
 from ..core.throughput import PeriodResult, compute_period
 from ..errors import ValidationError
 from ..faults import FAULTS
-from ..maxplus.howard import HowardState
+from ..maxplus.howard import HowardPlan, HowardState
 from ..petri.builder import DEFAULT_MAX_ROWS
 from ..telemetry import TELEMETRY
 from .classify import CycleTimePlan, build_cycle_time_plan
@@ -199,6 +208,10 @@ class BatchEngine:
     _skeletons: dict[tuple, TpnSkeleton] = field(default_factory=dict)
     _warm_states: dict[tuple, HowardState] = field(default_factory=dict)
     _ct_plans: dict[tuple, CycleTimePlan] = field(default_factory=dict)
+    #: Theorem-1 pattern plans by ``(u, v)`` torus (shared read-only
+    #: plans from the process-wide cache).  No eviction: ``u`` and ``v``
+    #: are coprime replication quotients, so an engine meets few tori.
+    _torus_plans: dict[tuple[int, int], HowardPlan] = field(default_factory=dict)
 
     def skeleton(self, inst: Instance, model: CommModel | str) -> TpnSkeleton:
         """Fetch (or build and cache) the topology group's skeleton."""
@@ -388,16 +401,8 @@ class BatchEngine:
             _attach_objectives(pairs, results, objectives, latency_mode)
         )
 
-    def _evaluate_point(
-        self,
-        inst: Instance,
-        model: CommModel | str,
-        method: str = "auto",
-        n_firings: int | None = None,
-    ) -> PeriodResult:
-        """Evaluate one pair through the cache (scalar-path semantics)."""
-        model = CommModel.parse(model)
-        method = _resolve(method, model)
+    def _count_point(self, inst: Instance, method: str) -> None:
+        """One point's fault hit, stats and contract counters (every path)."""
         if FAULTS.enabled:
             # A stall here models a slow machine: the worker's lease
             # heartbeats arrive late and the fabric's watchdog path
@@ -412,6 +417,47 @@ class BatchEngine:
             TELEMETRY.count("engine.points")
             TELEMETRY.count("engine.points." + method)
             TELEMETRY.count("engine.paths", inst.num_paths)
+
+    def _classified(
+        self,
+        key: tuple[object, ...],
+        inst: Instance,
+        model: CommModel,
+        method: str,
+        period: float,
+        procs: npt.NDArray[np.int64],
+        breakdown: OverlapBreakdown | None = None,
+        solution: TpnSolution | None = None,
+    ) -> PeriodResult:
+        """Classify one period through the cached plan and package it."""
+        # Classification through the cached index-array plan: bit-identical
+        # to classify_critical_resource, ~3x cheaper per evaluation.
+        mct, has_critical, _ = self._ct_plan_for(key, inst, model).verdict(
+            inst, period, procs=procs
+        )
+        return PeriodResult(
+            period=period,
+            throughput=1.0 / period if period > 0 else float("inf"),
+            model=model,
+            method=method,
+            m=inst.num_paths,
+            mct=mct,
+            has_critical_resource=has_critical,
+            breakdown=breakdown,
+            tpn_solution=solution,
+        )
+
+    def _evaluate_point(
+        self,
+        inst: Instance,
+        model: CommModel | str,
+        method: str = "auto",
+        n_firings: int | None = None,
+    ) -> PeriodResult:
+        """Evaluate one pair through the cache (scalar-path semantics)."""
+        model = CommModel.parse(model)
+        method = _resolve(method, model)
+        self._count_point(inst, method)
         key = topology_signature(inst, model)
         # One gather per evaluation, shared by the stamp and the verdict.
         procs = slot_processors(inst)
@@ -423,7 +469,7 @@ class BatchEngine:
                     "the polynomial algorithm (Theorem 1) only applies to the "
                     "OVERLAP ONE-PORT model; use method='tpn' for STRICT"
                 )
-            breakdown = overlap_period(inst)
+            breakdown = overlap_period(inst, self._torus_plans)
             period = breakdown.period
         elif method == "tpn":
             sk = self._skeleton_for(key, inst, model)
@@ -443,23 +489,29 @@ class BatchEngine:
             raise ValidationError(
                 f"unknown method {method!r}; expected auto/polynomial/tpn/simulation"
             )
+        return self._classified(key, inst, model, method, period, procs,
+                                breakdown=breakdown, solution=solution)
 
-        # Classification through the cached index-array plan: bit-identical
-        # to classify_critical_resource, ~3x cheaper per evaluation.
-        mct, has_critical, _ = self._ct_plan_for(key, inst, model).verdict(
-            inst, period, procs=procs
-        )
-        return PeriodResult(
-            period=period,
-            throughput=1.0 / period if period > 0 else float("inf"),
-            model=model,
-            method=method,
-            m=inst.num_paths,
-            mct=mct,
-            has_critical_resource=has_critical,
-            breakdown=breakdown,
-            tpn_solution=solution,
-        )
+    def _evaluate_overlap_slab(
+        self, instances: Sequence[Instance], model: CommModel
+    ) -> list[PeriodResult]:
+        """Theorem 1 for a run of OVERLAP pairs, any signatures.
+
+        Every point keeps its fault hit, stats and contract counters
+        (in input order, before the solve); the patterns of the whole
+        slab are solved together by
+        :func:`~repro.algorithms.overlap_poly.overlap_period_many`,
+        whose breakdowns equal per-point ``overlap_period`` calls.
+        """
+        for inst in instances:
+            self._count_point(inst, "polynomial")
+        breakdowns = overlap_period_many(instances, self._torus_plans)
+        return [
+            self._classified(topology_signature(inst, model), inst, model,
+                             "polynomial", bd.period, slot_processors(inst),
+                             breakdown=bd)
+            for inst, bd in zip(instances, breakdowns)
+        ]
 
     def _evaluate_uniform_group(
         self,
@@ -550,16 +602,24 @@ class BatchEngine:
         """Evaluate pairs in order, locksteping same-topology runs.
 
         The drop-in batched counterpart of calling the scalar path in a
-        loop: consecutive pairs whose ``(model, signature)`` match form
-        a group and go through the lockstep slabs; everything else
-        (singleton runs, polynomial/simulation methods) takes the scalar
-        path.  Results align with the input and are bit-identical to the
-        per-pair loop on a cold engine.  A generator: it yields at
-        same-topology run (or slab) boundaries, so a stream of distinct
-        topologies still yields per evaluation.
+        loop: consecutive TPN pairs whose ``(model, signature)`` match
+        form a group and go through the lockstep slabs; consecutive
+        polynomial-method OVERLAP pairs, whatever their signatures, go
+        through :meth:`_evaluate_overlap_slab`; everything else
+        (singleton TPN runs, simulation) takes the scalar path.  Both
+        kinds of slab hold at most :data:`MAX_GROUP_ROWS` pairs.
+        Results align with the input and are bit-identical to the
+        per-pair loop on a cold engine.  A generator: it yields at run
+        (or slab) boundaries, so a stream of distinct topologies still
+        yields per evaluation.
         """
         for i, j, model, key in _signature_runs(pairs, method):
-            if key is None or j - i < MIN_GROUP_ROWS:
+            if _resolve(method, model) == "polynomial" and model.overlap:
+                for k in range(i, j, MAX_GROUP_ROWS):
+                    yield from self._evaluate_overlap_slab(
+                        [p[0] for p in pairs[k: min(j, k + MAX_GROUP_ROWS)]], model
+                    )
+            elif key is None or j - i < MIN_GROUP_ROWS:
                 for inst, _ in pairs[i:j]:
                     yield self._evaluate_point(inst, model, method=method,
                                                n_firings=n_firings)
@@ -584,16 +644,24 @@ def _signature_runs(
     """Contiguous ``[i, j)`` segments of a pair list, for group dispatch.
 
     TPN-method pairs extend their segment while model and topology
-    signature match (``key`` is the shared signature); other methods
-    yield singleton segments with ``key = None``.  The single owner of
-    the run-boundary predicate (see :meth:`BatchEngine._evaluate_sequence`).
+    signature match (``key`` is the shared signature); polynomial-method
+    OVERLAP pairs extend theirs over every following OVERLAP pair, any
+    signature (Theorem 1 batches by pattern torus, not by topology);
+    other pairs yield singleton segments.  Non-TPN segments carry
+    ``key = None``.  The single owner of the run-boundary predicate (see
+    :meth:`BatchEngine._evaluate_sequence`).
     """
     i = 0
     while i < len(pairs):
         inst, model = pairs[i]
-        if _resolve(method, model) != "tpn":
-            yield i, i + 1, model, None
-            i += 1
+        resolved = _resolve(method, model)
+        if resolved != "tpn":
+            j = i + 1
+            if resolved == "polynomial" and model.overlap:
+                while j < len(pairs) and pairs[j][1].overlap:
+                    j += 1
+            yield i, j, model, None
+            i = j
             continue
         key = topology_signature(inst, model)
         j = i + 1

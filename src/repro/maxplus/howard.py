@@ -917,6 +917,8 @@ def solve_prepared_many(
     tol: float | None = None,
     states: list[HowardState] | None = None,
     state: HowardState | None = None,
+    *,
+    counters: str = "howard.lockstep",
 ) -> list[HowardResult]:
     """Lockstep policy iteration for ``B`` weight stampings of one plan.
 
@@ -945,6 +947,12 @@ def solve_prepared_many(
         continues where this one left off).  Period values are
         identical to cold start either way; only round counts and
         exact-tie cycle extraction depend on the seeding.
+    counters:
+        Keyword-only telemetry prefix: a successful solve adds one to
+        ``<counters>_solves`` and ``B`` to ``<counters>_rows`` (plus
+        its rounds to ``howard.rounds``).  The default names TPN group
+        rows, which ``campaign report`` reads; the Theorem-1 pattern
+        path passes ``"poly.lockstep"`` so the two never mix.
 
     Returns
     -------
@@ -1017,7 +1025,7 @@ def solve_prepared_many(
                 st.policies[0] = out_pol[b]  # type: ignore[index]
         elif state is not None:
             state.policies[0] = out_pol[B - 1]  # type: ignore[index]
-        return _count_lockstep(out)
+        return _count_lockstep(out, counters)
 
     best: list[HowardResult | None] = [None] * B
     pending_policies: list[tuple[int, npt.NDArray[np.int64]]] = []
@@ -1076,17 +1084,17 @@ def solve_prepared_many(
                 st.policies[ci] = pol[b]  # type: ignore[index]
         elif state is not None:
             state.policies[ci] = pol[B - 1]  # type: ignore[index]
-    return _count_lockstep(out)
+    return _count_lockstep(out, counters)
 
 
-def _count_lockstep(out: list[HowardResult]) -> list[HowardResult]:
+def _count_lockstep(out: list[HowardResult], counters: str) -> list[HowardResult]:
     """Tally one successful lockstep solve on the telemetry counters."""
     if TELEMETRY.enabled:
         rounds = 0
         for res in out:
             rounds += res.n_rounds
-        TELEMETRY.count("howard.lockstep_solves")
-        TELEMETRY.count("howard.lockstep_rows", len(out))
+        TELEMETRY.count(counters + "_solves")
+        TELEMETRY.count(counters + "_rows", len(out))
         TELEMETRY.count("howard.rounds", rounds)
     return out
 

@@ -24,6 +24,12 @@ i.e. sender ``P_{i, (g + alpha*b) mod a}`` and receiver
 round-robin reception) and the *right* edge (same sender, its next
 round-robin transmission) wrap around with one token — exactly the
 single-pattern graph ``G'`` of the appendix.
+
+Invariant: a pattern's graph *structure* (nodes, edge order, tokens) is
+a function of ``(u, v)`` only — :func:`pattern_graph` owns the layout,
+and the transfer times enter solely as edge weights.  Every component
+of every file with the same ``(u, v)`` therefore shares one prepared
+Howard plan (see :mod:`repro.algorithms.overlap_poly`).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = [
     "CommPattern",
     "computation_column",
     "comm_patterns",
+    "pattern_graph",
     "column_subgraph",
 ]
 
@@ -103,15 +110,7 @@ class CommPattern:
 
     def to_ratio_graph(self) -> RatioGraph:
         """The torus graph ``G'``: down/right edges, tokens on wrap arcs."""
-        u, v = self.u, self.v
-        cell = lambda a, b: a * v + b  # noqa: E731 - local shorthand
-        edges = []
-        for a in range(u):
-            for b in range(v):
-                w = float(self.durations[a, b])
-                edges.append((cell(a, b), cell((a + 1) % u, b), w, 1 if a == u - 1 else 0))
-                edges.append((cell(a, b), cell(a, (b + 1) % v), w, 1 if b == v - 1 else 0))
-        return RatioGraph(u * v, edges)
+        return pattern_graph(self.u, self.v, self.durations)
 
     def critical_ratio(self) -> float:
         """Maximum cycle ratio of the pattern graph (TPN time units)."""
@@ -126,10 +125,33 @@ class CommPattern:
         return self.senders[alpha], self.receivers[beta]
 
 
+def pattern_graph(u: int, v: int, durations: np.ndarray) -> RatioGraph:
+    """The ``u x v`` torus ``G'`` with cell weights ``durations``.
+
+    Node ``a * v + b`` is cell ``(a, b)``.  Each cell emits its *down*
+    edge (to ``((a + 1) mod u, b)``, one token on the wrap from row
+    ``u - 1``) and then its *right* edge (to ``(a, (b + 1) mod v)``, one
+    token on the wrap from column ``v - 1``), both weighted
+    ``durations[a, b]`` — so the weight vector is
+    ``np.repeat(durations.ravel(), 2)``.
+    """
+    cell = lambda a, b: a * v + b  # noqa: E731 - local shorthand
+    edges = []
+    for a in range(u):
+        for b in range(v):
+            w = float(durations[a, b])
+            edges.append((cell(a, b), cell((a + 1) % u, b), w, 1 if a == u - 1 else 0))
+            edges.append((cell(a, b), cell(a, (b + 1) % v), w, 1 if b == v - 1 else 0))
+    return RatioGraph(u * v, edges)
+
+
 def computation_column(inst: Instance, stage: int) -> CompColumn:
     """Critical-ratio summary of the computation column of ``stage``."""
     procs = inst.mapping.processors_of(stage)
-    per_proc = tuple((u, inst.comp_time(stage, u)) for u in procs)
+    # w_i / Pi_u for every replica in one division (Platform.comp_time's
+    # quotient, bit for bit).
+    times = inst.application.work(stage) / inst.platform.speeds[list(procs)]
+    per_proc = tuple(zip(procs, times.tolist()))
     crit_proc, crit_time = max(per_proc, key=lambda x: x[1])
     return CompColumn(
         stage=stage,
@@ -154,19 +176,23 @@ def comm_patterns(inst: Instance, file_index: int) -> list[CommPattern]:
     """
     mapping = inst.mapping
     p, u, v, window = mapping.comm_structure(file_index)
-    senders_all = mapping.processors_of(file_index)
-    receivers_all = mapping.processors_of(file_index + 1)
-    a, b = len(senders_all), len(receivers_all)
+    senders_all = np.asarray(mapping.processors_of(file_index))
+    receivers_all = np.asarray(mapping.processors_of(file_index + 1))
+    a, b = senders_all.size, receivers_all.size
+    comp_ids = np.arange(p)[:, None]
+    senders_g = senders_all[(comp_ids + np.arange(u) * b) % a]  # (p, u)
+    receivers_g = receivers_all[(comp_ids + np.arange(v) * a) % b]  # (p, v)
+    # One gather + one division for the whole column: the same IEEE
+    # quotient per cell as Platform.comm_time, inf-bandwidth -> 0.0 too.
+    bw = inst.platform.bandwidths[senders_g[:, :, None], receivers_g[:, None, :]]
+    durations_g = inst.application.file_size(file_index) / bw
+    durations_g[np.isinf(bw)] = 0.0
+    durations_g.setflags(write=False)
 
     out: list[CommPattern] = []
-    for g in range(p):
-        senders = tuple(senders_all[(g + alpha * b) % a] for alpha in range(u))
-        receivers = tuple(receivers_all[(g + beta * a) % b] for beta in range(v))
-        durations = np.empty((u, v))
-        for alpha, s in enumerate(senders):
-            for beta, r in enumerate(receivers):
-                durations[alpha, beta] = inst.comm_time(file_index, s, r)
-        durations.setflags(write=False)
+    for g, (senders, receivers) in enumerate(
+        zip(senders_g.tolist(), receivers_g.tolist())
+    ):
         out.append(
             CommPattern(
                 file_index=file_index,
@@ -175,9 +201,9 @@ def comm_patterns(inst: Instance, file_index: int) -> list[CommPattern]:
                 u=u,
                 v=v,
                 window=window,
-                senders=senders,
-                receivers=receivers,
-                durations=durations,
+                senders=tuple(senders),
+                receivers=tuple(receivers),
+                durations=durations_g[g],
             )
         )
     return out

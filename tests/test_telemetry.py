@@ -334,6 +334,33 @@ class TestReportSection:
         assert "engine telemetry:" in text
         assert "skeleton cache" in text
 
+        # Overlap-heavy: 6 pinned [2, 4, 6] points per model in one
+        # claim; their Theorem-1 patterns fill lockstep buckets (two
+        # (1, 2) and two (2, 3) components per point), which must not
+        # leak into the TPN lockstep rows.
+        heavy = CampaignSpec.from_dict({
+            "name": "telemetry-overlap-heavy", "draws": 6,
+            "models": ["overlap", "strict"],
+            "applications": [{"synthetic": {"n_stages": 3, "shape": "balanced",
+                                            "scale": 8.0}}],
+            "platforms": [{"n_procs": 12}],
+            "replications": [{"fixed": [2, 4, 6], "assignment": "blocks"}],
+            "max_paths": 150,
+        })
+        with ResultStore(tmp_path / "heavy.sqlite") as store:
+            run_campaign(heavy, store, trace_dir=tmp_path / "trace-heavy")
+            counters = merge_traces(trace_files(tmp_path / "trace-heavy"))[
+                "counters"]
+            data = campaign_report_data(heavy, store, counters=counters)
+            text = render_report_text(data)
+        engine = data["telemetry"]["engine"]
+        assert engine["lockstep_rows"] + engine["scalar_points"] == 12
+        assert engine["lockstep_rows"] == counters["engine.group_rows"] == 6
+        assert engine["pattern_rows"] == 6 * 4
+        assert engine["pattern_lockstep_rows"] == 6 * 4
+        assert engine["pattern_plan_builds"] == 2
+        assert "Theorem-1 patterns: 24 rows (24 lockstep); 2 torus plan(s)" in text
+
 
 class TestTelemetryCli:
     def _trace_dir(self, tmp_path):

@@ -47,6 +47,7 @@ SNAPSHOT = REPO / "API_SURFACE.json"
 #: deprecation cycle (see CONTRIBUTING.md).
 PUBLIC_MODULES = (
     "repro",
+    "repro.algorithms",
     "repro.analysis",
     "repro.campaign",
     "repro.core",
