@@ -15,7 +15,7 @@ hardware with no code defect.
 
 A second, OVERLAP contract covers the Theorem-1 path: a seeded sweep
 (a pinned ``[6, 10, 15]`` block mapping plus random ``balls`` mappings)
-evaluated in one ``mode="many"`` call must equal the generic oracle
+evaluated in one sequence ``evaluate`` call must equal the generic oracle
 (one ``RatioGraph`` and ``max_cycle_ratio`` per pattern), build one
 torus plan per distinct ``(u, v)``, and lockstep-solve exactly
 :data:`OVERLAP_LOCKSTEP_ROWS` pattern rows.  Counts only, no clock.
@@ -107,7 +107,7 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
     t0 = time.perf_counter()
     scalar = [compute_period(i, "strict", method="tpn") for i in instances]
     t1 = time.perf_counter()
-    batched = evaluate(instances, "strict", method="tpn", engine=engine)
+    batched = engine.evaluate(instances, "strict", method="tpn")
     t2 = time.perf_counter()
 
     identical = all(
@@ -149,7 +149,7 @@ def run_overlap_contract() -> dict:
             for i in range(inst.n_stages - 1) for pat in comm_patterns(inst, i)}
     TELEMETRY.enable("bench")
     try:
-        results = BatchEngine().evaluate(instances, "overlap", mode="many")
+        results = BatchEngine().evaluate(instances, "overlap")
         counters = TELEMETRY.counter_snapshot()
     finally:
         TELEMETRY.disable()

@@ -6,7 +6,7 @@ campaign cell and neighborhood scan reduces to — evaluated two ways:
 * **PR-3 path**: one ``BatchEngine.evaluate`` call per instance.  The
   skeleton and Howard plan are cached, but every stamping runs its own
   policy iteration with the per-node Python chain walk;
-* **PR-4 group path**: one ``BatchEngine.evaluate(mode="many")`` call.  The
+* **PR-4 group path**: one sequence ``BatchEngine.evaluate`` call.  The
   whole batch stamps into a single ``(B, E)`` weight matrix and
   :func:`repro.maxplus.howard.solve_prepared_many` runs policy
   iteration for all rows in lockstep.
@@ -126,7 +126,7 @@ def check_identity() -> dict:
     checked = 0
     for counts in IDENTITY_TOPOLOGIES:
         insts = drift_sweep(counts, N_IDENTITY, seed=7)
-        grouped = BatchEngine().evaluate(insts, "strict", method="tpn", mode="many")
+        grouped = BatchEngine().evaluate(insts, "strict", method="tpn")
         for inst, res in zip(insts, grouped):
             ref = compute_period(inst, "strict", method="tpn")
             assert res.period == ref.period
@@ -150,11 +150,11 @@ def run_comparison(n_instances: int = N_INSTANCES) -> dict:
 
     scalar_s, group_s = _race(
         lambda: [scalar_engine.evaluate(i, "strict") for i in instances],
-        lambda: group_engine.evaluate(instances, "strict", mode="many"),
+        lambda: group_engine.evaluate(instances, "strict"),
     )
 
     scalar = [scalar_engine.evaluate(i, "strict") for i in instances]
-    grouped = group_engine.evaluate(instances, "strict", mode="many")
+    grouped = group_engine.evaluate(instances, "strict")
     identical = all(
         s.period == g.period
         and s.mct == g.mct
@@ -199,7 +199,7 @@ def bench_howard_many_speedup(benchmark):
     engine.evaluate(instances[0], "strict")
 
     def grouped():
-        return engine.evaluate(instances, "strict", mode="many")
+        return engine.evaluate(instances, "strict")
 
     results = benchmark(grouped)
     scalar_engine = BatchEngine()

@@ -19,7 +19,7 @@ through one shared :class:`~repro.engine.BatchEngine`:
    fabric's claim loop.  ``run_campaign`` runs it in-process as a
    single worker that claims ``commit_every`` digests at a time from
    the ordered stream, evaluates them through
-   ``BatchEngine.evaluate(mode="many")`` (each same-topology run is
+   one ``BatchEngine.evaluate`` call (each same-topology run is
    stamped into one ``(B, E)`` weight matrix and solved in lockstep by
    :func:`repro.maxplus.howard.solve_prepared_many`), commits them and
    releases their leases, so a kill loses at most ``commit_every``
@@ -479,7 +479,6 @@ def _drain(
                 results = engine.evaluate(
                     [by_digest[d][0] for d in chunk],
                     [by_digest[d][1] for d in chunk],
-                    mode="many",
                 )
             payloads = [
                 (digest, payload_from_result(by_digest[digest][0], result,

@@ -17,28 +17,29 @@ This package amortizes that hot path:
 * :class:`~repro.engine.skeleton.TpnSkeleton` — the cached structural
   artifact of one group: TPN transition/place layout, CSR-prepared
   max-plus solver plan, and vectorized duration stamping arrays;
-* :class:`~repro.engine.batch.BatchEngine` — skeleton cache plus a
-  drop-in ``evaluate`` returning the same
+* :class:`~repro.engine.batch.BatchEngine` — skeleton cache plus the
+  one evaluate surface, returning the same
   :class:`~repro.core.throughput.PeriodResult` values as the scalar
-  path, bit-identical; its ``mode="many"`` path locksteps consecutive
-  same-topology runs through
-  :func:`repro.maxplus.howard.solve_prepared_many` — one ``(B, E)``
-  weight matrix, one policy iteration for the whole group;
-* :func:`~repro.engine.batch.evaluate` — the module-level batch entry
-  point with deterministic chunk sharding across a
-  ``ProcessPoolExecutor`` (a bounded in-flight submission window keeps
-  streaming memory flat) and streaming, submission-ordered results
-  (``mode="stream"``).
+  path, bit-identical; a sequence locksteps consecutive same-topology
+  runs through :func:`repro.maxplus.howard.solve_prepared_many` — one
+  ``(B, E)`` weight matrix, one policy iteration for the whole group —
+  and ``n_jobs`` shards it into contiguous chunks over a
+  ``ProcessPoolExecutor``;
+* :func:`~repro.engine.batch.evaluate` — the same call through a fresh
+  engine.
 
 Quick start::
 
-    from repro.engine import evaluate
+    from repro.engine import BatchEngine, evaluate
 
-    results = evaluate(instances, "strict")         # list[PeriodResult]
-    results = evaluate(instances, models, n_jobs=0)    # all cores
-    stream = evaluate(instances, "strict", mode="stream")  # lazy
-    multi = evaluate(instances, "strict",
-                     objectives="period,latency")   # list[EvalResult]
+    results = evaluate(instances, "strict")          # list[PeriodResult]
+    results = evaluate(instances, models, n_jobs=0)  # all cores
+    engine = BatchEngine()                           # cache kept across calls
+    one = engine.evaluate(instances[0], "strict")    # PeriodResult
+    more = engine.evaluate(instances, "strict", n_jobs=2)  # two workers
+
+Extra objectives (latency, reliability) come from
+:class:`repro.objectives.ObjectiveEvaluator`, which wraps an engine.
 
 Guarantees
 ----------

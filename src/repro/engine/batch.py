@@ -1,67 +1,51 @@
-"""Batch evaluation: skeleton cache, group lockstep solves, streaming.
+"""Batch evaluation: skeleton cache, group lockstep solves, sharding.
 
 :class:`BatchEngine` is the per-process cache of
 :class:`~repro.engine.skeleton.TpnSkeleton` objects keyed by
-:func:`~repro.engine.signature.topology_signature`;
-:func:`evaluate` is the module-level entry point that shards large
-batches across worker processes (``mode="batch"`` collects a list,
-``mode="stream"`` yields lazily).
-
-:meth:`BatchEngine.evaluate` is the engine's single documented entry
-point: a single instance takes the scalar cache path, a sequence is
-evaluated in order with keyword-only ``mode=`` narrowing the dispatch
-(``"many"`` run detection, ``"group"`` explicit lockstep), and
-``objectives=`` lifts results into the multi-criteria
-(period, latency, reliability) plane of :mod:`repro.objectives`.
+:func:`~repro.engine.signature.topology_signature`.  Its
+:meth:`BatchEngine.evaluate` is the one evaluate surface: a single
+instance takes the scalar cache path, a sequence is evaluated in order
+(same-topology runs locksteped) and, when ``n_jobs`` asks for workers,
+sharded across processes.  The module-level :func:`evaluate` is a thin
+wrapper that evaluates through a fresh engine.
 
 **Group evaluation** is the hot path: consecutive TPN-method pairs that
 share a topology signature are stamped into one ``(B, E)`` weight
 matrix and solved in lockstep by
-:func:`repro.maxplus.howard.solve_prepared_many`
-(``mode="many"`` does the run detection;
-``mode="group"`` is the explicit entry point).  It
-kicks in for runs of at least :data:`MIN_GROUP_ROWS` same-signature
-pairs and slabs huge groups at :data:`MAX_GROUP_ROWS` rows to bound the
-weight-matrix footprint.  Cold group results are bit-identical to
-per-pair :meth:`BatchEngine.evaluate` calls.  Runs of polynomial-method
-OVERLAP pairs, whatever their signatures, are batched the same way
-through :func:`repro.algorithms.overlap_poly.overlap_period_many`, whose
+:func:`repro.maxplus.howard.solve_prepared_many`.  It kicks in for runs
+of at least :data:`MIN_GROUP_ROWS` same-signature pairs and slabs huge
+groups at :data:`MAX_GROUP_ROWS` rows to bound the weight-matrix
+footprint.  Cold group results are bit-identical to per-pair
+:meth:`BatchEngine.evaluate` calls.  Runs of polynomial-method OVERLAP
+pairs, whatever their signatures, are batched the same way through
+:func:`repro.algorithms.overlap_poly.overlap_period_many`, whose
 Theorem-1 pattern components share one cached plan per ``(u, v)``
 torus and are lockstep-solved per torus bucket.
 
 Sharding is deterministic: the input order is cut into contiguous
-chunks of ``chunk_size`` pairs, chunks are dispatched in order to a
-``ProcessPoolExecutor`` through a **bounded in-flight window** (a
-handful of chunks per worker are pickled/buffered at any moment, so
-streaming a huge batch keeps memory flat), and results stream back in
-submission order.  Contiguous chunks deliberately preserve the caller's
-grouping — a sweep that emits instances topology-by-topology gets
-near-perfect skeleton cache hit rates *and* full-chunk lockstep groups
-inside every worker.  Each worker process keeps one long-lived
-:class:`BatchEngine`, so the cache survives across chunks of the same
-batch (and across batches, for repeated calls inside one worker
-lifetime).  A caller-owned ``engine=`` is a serial-path feature;
-combining it with ``n_jobs`` parallelism raises
-:class:`~repro.errors.ValidationError` (worker processes cannot share
-the caller's cache).
+chunks, mapped in order over a ``ProcessPoolExecutor`` and collected
+in submission order.  Contiguous chunks deliberately preserve the
+caller's grouping — a sweep that emits instances topology-by-topology
+gets near-perfect skeleton cache hit rates *and* full-chunk lockstep
+groups inside every worker.  Each worker process keeps one long-lived
+:class:`BatchEngine` built with the calling engine's ``max_rows`` and
+``warm_start``, so the cache survives across the chunks it evaluates.
 
 Every evaluation is a pure function of ``(instance, model, method)``:
-results are bit-identical whatever ``n_jobs`` or ``chunk_size``.  The
-one opt-in exception is ``warm_start=True``, which seeds Howard's policy
-iteration from the previous instance (or, on the group path, the
-previous *group*) of a topology group: period *values* are unchanged,
-but the extracted critical cycle (and hence
-``tpn_solution.ratio.cycle_nodes``) may depend on evaluation history —
-see :class:`BatchEngine`.
+results are bit-identical whatever ``n_jobs``.  The one opt-in
+exception is ``warm_start=True``, which seeds Howard's policy iteration
+from the previous instance (or, on the group path, the previous
+*group*) of a topology group: period *values* are unchanged, but the
+extracted critical cycle (and hence ``tpn_solution.ratio.cycle_nodes``)
+may depend on evaluation history — see :class:`BatchEngine`.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, overload
+from typing import Iterable, Iterator, Sequence, overload
 
 import numpy as np
 import numpy.typing as npt
@@ -84,47 +68,17 @@ from .classify import CycleTimePlan, build_cycle_time_plan
 from .signature import slot_processors, topology_signature
 from .skeleton import TpnSkeleton, build_skeleton
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..objectives.base import EvalResult
-
 __all__ = [
     "BatchEngine",
     "EngineStats",
     "evaluate",
     "MIN_GROUP_ROWS",
     "MAX_GROUP_ROWS",
-    "MIN_PARALLEL_BATCH",
 ]
 
-
-def _attach_objectives(
-    pairs: Sequence[tuple[Instance, CommModel]],
-    results: Iterable[PeriodResult],
-    objectives: Sequence[str] | str,
-    latency_mode: str,
-) -> Iterator["EvalResult"]:
-    """Wrap engine results with the extra objective values, lazily.
-
-    The latency / reliability computations are pure per-instance
-    functions evaluated in the caller's process, so objective-aware
-    results stay bit-identical whatever ``n_jobs`` did to the period
-    computation.  Imported lazily to keep ``repro.engine`` importable
-    without the objectives package (and cycle-free).
-    """
-    from ..objectives.base import parse_objectives
-    from ..objectives.evaluate import attach_objectives
-
-    names = parse_objectives(objectives)
-    for (inst, _model), result in zip(pairs, results):
-        yield attach_objectives(
-            inst, result, names, latency_mode=latency_mode
-        )
-
 #: Below this many pairs a process pool costs more than it saves; the
-#: stream falls back to the serial path.  Public so callers that must
-#: decide between a caller-owned engine and worker sharding (e.g. the
-#: mapping-search neighborhood scan) can mirror the dispatch.
-MIN_PARALLEL_BATCH = 4
+#: batch stays on the calling engine.
+_MIN_SHARD_PAIRS = 4
 
 #: Smallest same-signature run routed through the lockstep group solver;
 #: a single pair goes through the scalar path (identical results, no
@@ -132,12 +86,8 @@ MIN_PARALLEL_BATCH = 4
 MIN_GROUP_ROWS = 2
 
 #: Largest number of rows stamped into one lockstep solve.  Bounds the
-#: ``(B, E)`` weight matrix (and the serial stream's grouping buffer);
-#: longer runs are solved in consecutive slabs of this size.
+#: ``(B, E)`` weight matrix; longer runs are solved in consecutive slabs of this size.
 MAX_GROUP_ROWS = 256
-
-#: In-flight chunks per worker on the parallel streaming path.
-_INFLIGHT_PER_WORKER = 2
 
 
 @dataclass
@@ -254,7 +204,7 @@ class BatchEngine:
             self._ct_plans[key] = plan
         return plan
 
-    # -- unified entry point -------------------------------------------
+    # -- the evaluate surface ------------------------------------------
     @overload
     def evaluate(
         self,
@@ -263,49 +213,19 @@ class BatchEngine:
         method: str = ...,
         n_firings: int | None = ...,
         *,
-        mode: str = ...,
-        objectives: None = ...,
-        latency_mode: str = ...,
+        n_jobs: int | None = ...,
     ) -> PeriodResult: ...
 
     @overload
     def evaluate(
         self,
-        instances: Instance,
-        models: CommModel | str,
-        method: str = ...,
-        n_firings: int | None = ...,
-        *,
-        mode: str = ...,
-        objectives: Sequence[str] | str,
-        latency_mode: str = ...,
-    ) -> "EvalResult": ...
-
-    @overload
-    def evaluate(
-        self,
         instances: Sequence[Instance] | Iterable[Instance],
         models: CommModel | str | Sequence[CommModel | str],
         method: str = ...,
         n_firings: int | None = ...,
         *,
-        mode: str = ...,
-        objectives: None = ...,
-        latency_mode: str = ...,
+        n_jobs: int | None = ...,
     ) -> list[PeriodResult]: ...
-
-    @overload
-    def evaluate(
-        self,
-        instances: Sequence[Instance] | Iterable[Instance],
-        models: CommModel | str | Sequence[CommModel | str],
-        method: str = ...,
-        n_firings: int | None = ...,
-        *,
-        mode: str = ...,
-        objectives: Sequence[str] | str,
-        latency_mode: str = ...,
-    ) -> list["EvalResult"]: ...
 
     def evaluate(
         self,
@@ -314,92 +234,74 @@ class BatchEngine:
         method: str = "auto",
         n_firings: int | None = None,
         *,
-        mode: str = "auto",
-        objectives: Sequence[str] | str | None = None,
-        latency_mode: str = "bound",
-    ) -> Any:
-        """The engine's single documented entry point.
+        n_jobs: int | None = None,
+    ) -> PeriodResult | list[PeriodResult]:
+        """Evaluate one instance or a sequence of instances.
 
         One :class:`~repro.core.instance.Instance` evaluates through the
-        scalar cache path and returns one result; a sequence of
-        instances evaluates in order and returns a list aligned with the
-        input.  The keyword-only ``mode=`` narrows the dispatch:
+        scalar cache path and returns one result.  A sequence evaluates
+        in order and returns a list aligned with the input; consecutive
+        same-topology TPN runs are lockstep-solved and consecutive
+        polynomial OVERLAP runs share Theorem-1 pattern solves.
 
-        ``"auto"``
-            Scalar for a single instance, ``"many"`` for a sequence
-            (the default — callers rarely need anything else).
-        ``"scalar"``
-            Require a single instance (the PR-1 ``evaluate`` path).
-        ``"many"``
-            A sequence of pairs; consecutive same-topology TPN runs are
-            lockstep-solved (the old ``evaluate_many``).
-        ``"group"``
-            A sequence that *must* share one topology signature, solved
-            as explicit lockstep slabs (the old ``evaluate_group``);
-            a mixed batch raises :class:`~repro.errors.ValidationError`.
-
-        ``objectives=`` selects the multi-criteria plane: pass a
-        comma-separated string or iterable of objective names
-        (``"period"``, ``"latency"``, ``"reliability"``) and the call
-        returns :class:`~repro.objectives.base.EvalResult` values
-        wrapping the same bit-identical period results; ``latency_mode``
-        chooses the deterministic worst-path ``"bound"`` (default) or
-        the exact ``"measured"`` simulation.  With ``objectives=None``
-        results are plain :class:`PeriodResult` — byte-for-byte the
-        pre-redesign behavior.
+        ``n_jobs`` (keyword-only) shards a sequence across worker
+        processes: ``None``/``1`` evaluates in this engine, ``0`` uses
+        every core, ``k > 1`` uses ``k`` workers.  Batches of fewer
+        than four pairs always stay on this engine.  Sharded pairs are
+        evaluated by one long-lived engine per worker with this
+        engine's ``max_rows`` and ``warm_start``, so results are
+        bit-identical whatever the worker count (critical cycles may
+        depend on chunk boundaries under ``warm_start``), but this
+        engine's cache and :attr:`stats` do not see them.  Telemetry
+        counters of the workers merge into the caller's collector.
 
         Method selection, validation errors and the
         ``ReplicationExplosionError`` budget behave exactly like
         :func:`repro.core.throughput.compute_period`.
         """
-        single = isinstance(instances, Instance)
-        if mode not in ("auto", "scalar", "many", "group"):
+        if n_jobs is not None and n_jobs < 0:
             raise ValidationError(
-                f"unknown mode {mode!r}; expected auto/scalar/many/group"
+                f"n_jobs must be None, 0 (all cores) or a positive worker "
+                f"count, got {n_jobs}"
             )
-        if mode == "scalar" and not single:
-            raise ValidationError(
-                "mode='scalar' expects a single Instance, not a sequence"
-            )
-        if single:
-            if mode in ("many", "group"):
-                raise ValidationError(
-                    f"mode={mode!r} expects a sequence of instances; got a "
-                    f"single Instance (use mode='scalar' or 'auto')"
-                )
+        if isinstance(instances, Instance):
             if isinstance(models, (list, tuple)):
                 raise ValidationError(
                     "a single instance takes a single model, not a sequence"
                 )
-            result = self._evaluate_point(
+            return self._evaluate_point(
                 instances, models, method=method, n_firings=n_firings
             )
-            if objectives is None:
-                return result
-            return next(iter(_attach_objectives(
-                [(instances, result.model)], [result], objectives,
-                latency_mode,
-            )))
         pairs = _normalize_pairs(instances, models)
-        if mode == "group":
-            if pairs and any(m != pairs[0][1] for _, m in pairs):
-                raise ValidationError(
-                    "mode='group' expects a single shared model"
-                )
-            results = self._evaluate_uniform_group(
-                [inst for inst, _ in pairs],
-                pairs[0][1] if pairs else "overlap",
-                method=method,
-            )
-        else:
-            results = list(self._evaluate_sequence(
-                pairs, method=method, n_firings=n_firings
-            ))
-        if objectives is None:
-            return results
-        return list(
-            _attach_objectives(pairs, results, objectives, latency_mode)
-        )
+        workers = (os.cpu_count() or 1) if n_jobs == 0 else (n_jobs or 1)
+        if workers > 1 and len(pairs) >= _MIN_SHARD_PAIRS:
+            return self._evaluate_sharded(pairs, method, n_firings, workers)
+        return list(self._evaluate_sequence(
+            pairs, method=method, n_firings=n_firings
+        ))
+
+    def _evaluate_sharded(
+        self,
+        pairs: list[tuple[Instance, CommModel]],
+        method: str,
+        n_firings: int | None,
+        workers: int,
+    ) -> list[PeriodResult]:
+        """Map contiguous chunks of ``pairs`` over a worker pool, in order."""
+        size = -(-len(pairs) // (workers * 4))  # about four chunks per worker
+        telemetry_on = TELEMETRY.enabled
+        payloads = [
+            (pairs[i: i + size], method, n_firings, self.max_rows,
+             self.warm_start, telemetry_on)
+            for i in range(0, len(pairs), size)
+        ]
+        results: list[PeriodResult] = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for chunk_results, counters in pool.map(_evaluate_chunk, payloads):
+                if counters is not None:
+                    TELEMETRY.merge_counters(counters)
+                results.extend(chunk_results)
+        return results
 
     def _count_point(self, inst: Instance, method: str) -> None:
         """One point's fault hit, stats and contract counters (every path)."""
@@ -513,39 +415,6 @@ class BatchEngine:
             for inst, bd in zip(instances, breakdowns)
         ]
 
-    def _evaluate_uniform_group(
-        self,
-        instances: Sequence[Instance],
-        model: CommModel | str,
-        method: str = "auto",
-    ) -> list[PeriodResult]:
-        """Evaluate one topology group through the lockstep solver.
-
-        Every instance must share ``topology_signature(inst, model)``
-        with the first (callers that may mix topologies should use
-        ``mode="many"``, which detects same-signature runs).  The
-        TPN method stamps the whole group into one ``(B, E)`` weight
-        matrix and runs
-        :func:`~repro.maxplus.howard.solve_prepared_many`; other methods
-        fall back to the per-pair scalar path.  Cold results are
-        bit-identical to per-pair evaluation; with ``warm_start=True``
-        all rows seed from the group's carried policy (values unchanged,
-        see :class:`~repro.maxplus.howard.HowardState`).
-        """
-        model = CommModel.parse(model)
-        pairs = [(inst, model) for inst in instances]
-        if _resolve(method, model) == "tpn" \
-                and len(list(_signature_runs(pairs, method))) > 1:
-            # A mismatched instance would be stamped through the first
-            # instance's skeleton and return plausible but wrong
-            # numbers — fail loudly instead.
-            raise ValidationError(
-                "mode='group' requires every instance to share one "
-                "topology signature (model + replication counts); "
-                "use mode='many' for mixed batches"
-            )
-        return list(self._evaluate_sequence(pairs, method=method))
-
     def _evaluate_tpn_group(
         self, key: tuple[object, ...], instances: Sequence[Instance], model: CommModel
     ) -> list[PeriodResult]:
@@ -609,9 +478,7 @@ class BatchEngine:
         (singleton TPN runs, simulation) takes the scalar path.  Both
         kinds of slab hold at most :data:`MAX_GROUP_ROWS` pairs.
         Results align with the input and are bit-identical to the
-        per-pair loop on a cold engine.  A generator: it yields at run
-        (or slab) boundaries, so a stream of distinct topologies still
-        yields per evaluation.
+        per-pair loop on a cold engine.
         """
         for i, j, model, key in _signature_runs(pairs, method):
             if _resolve(method, model) == "polynomial" and model.overlap:
@@ -698,7 +565,8 @@ _WORKER_ENGINE: BatchEngine | None = None
 
 
 def _evaluate_chunk(
-    payload: tuple[list[tuple[Instance, CommModel]], str, int | None, bool, bool],
+    payload: tuple[list[tuple[Instance, CommModel]], str, int | None,
+                   int | None, bool, bool],
 ) -> tuple[list[PeriodResult], dict[str, int] | None]:
     """Module-level trampoline for process pools (picklable).
 
@@ -710,7 +578,7 @@ def _evaluate_chunk(
     parent's collector state, which must never double-count.
     """
     global _WORKER_ENGINE
-    chunk, method, max_rows, warm_start, telemetry_on = payload
+    chunk, method, n_firings, max_rows, warm_start, telemetry_on = payload
     if telemetry_on:
         TELEMETRY.enable("chunk")
     else:
@@ -721,169 +589,31 @@ def _evaluate_chunk(
         or _WORKER_ENGINE.warm_start != warm_start
     ):
         _WORKER_ENGINE = BatchEngine(max_rows=max_rows, warm_start=warm_start)
-    engine = _WORKER_ENGINE
-    results = list(engine._evaluate_sequence(list(chunk), method=method))
+    results = list(_WORKER_ENGINE._evaluate_sequence(
+        chunk, method=method, n_firings=n_firings
+    ))
     counters = TELEMETRY.counter_snapshot() if telemetry_on else None
     return results, counters
 
 
-def _stream_pairs(
-    pairs: list[tuple[Instance, CommModel]],
-    method: str = "auto",
-    max_rows: int | None = DEFAULT_MAX_ROWS,
-    n_jobs: int | None = None,
-    chunk_size: int | None = None,
-    engine: BatchEngine | None = None,
-    warm_start: bool = False,
-) -> Iterator[PeriodResult]:
-    """Lazily yield one :class:`PeriodResult` per pair, in input order.
-
-    The engine room of the module-level :func:`evaluate`: serial path
-    through one (caller-owned or fresh) :class:`BatchEngine`, parallel
-    path through the bounded in-flight chunk window.  See
-    :func:`evaluate` for parameter semantics.
-    """
-    if engine is not None and n_jobs not in (None, 1):
-        raise ValidationError(
-            f"engine= is a serial-path option but n_jobs={n_jobs} requests "
-            f"worker processes, which cannot share the caller's engine "
-            f"cache; drop engine= or run with n_jobs=1"
-        )
-    if n_jobs is None or n_jobs == 1 or len(pairs) < MIN_PARALLEL_BATCH:
-        eng = engine if engine is not None else BatchEngine(
-            max_rows=max_rows, warm_start=warm_start)
-        yield from eng._evaluate_sequence(pairs, method=method)
-        return
-
-    workers = (os.cpu_count() or 1) if n_jobs == 0 else n_jobs
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(pairs) // (workers * 4)))
-    telemetry_on = TELEMETRY.enabled
-    payloads = (
-        (pairs[i: i + chunk_size], method, max_rows, warm_start, telemetry_on)
-        for i in range(0, len(pairs), chunk_size)
-    )
-    # Bounded in-flight window: submit a few chunks per worker, then
-    # one-in-one-out in submission order — a huge batch never has more
-    # than `window` chunks pickled or buffered at once.
-    window = workers * _INFLIGHT_PER_WORKER
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        inflight: deque = deque()
-        for payload in payloads:
-            inflight.append(pool.submit(_evaluate_chunk, payload))
-            if len(inflight) < window:
-                continue
-            results, counters = inflight.popleft().result()
-            if counters is not None:
-                TELEMETRY.merge_counters(counters)
-            yield from results
-        while inflight:
-            results, counters = inflight.popleft().result()
-            if counters is not None:
-                TELEMETRY.merge_counters(counters)
-            yield from results
-
-
-@overload
-def evaluate(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = ...,
-    *,
-    mode: str = ...,
-    max_rows: int | None = ...,
-    n_jobs: int | None = ...,
-    chunk_size: int | None = ...,
-    engine: BatchEngine | None = ...,
-    warm_start: bool = ...,
-    objectives: None = ...,
-    latency_mode: str = ...,
-) -> list[PeriodResult]: ...
-
-
-@overload
-def evaluate(
-    instances: Sequence[Instance] | Iterable[Instance],
-    models: CommModel | str | Sequence[CommModel | str],
-    method: str = ...,
-    *,
-    mode: str = ...,
-    max_rows: int | None = ...,
-    n_jobs: int | None = ...,
-    chunk_size: int | None = ...,
-    engine: BatchEngine | None = ...,
-    warm_start: bool = ...,
-    objectives: Sequence[str] | str,
-    latency_mode: str = ...,
-) -> list["EvalResult"]: ...
-
-
 def evaluate(
     instances: Sequence[Instance] | Iterable[Instance],
     models: CommModel | str | Sequence[CommModel | str],
     method: str = "auto",
     *,
-    mode: str = "batch",
     max_rows: int | None = DEFAULT_MAX_ROWS,
     n_jobs: int | None = None,
-    chunk_size: int | None = None,
-    engine: BatchEngine | None = None,
     warm_start: bool = False,
-    objectives: Sequence[str] | str | None = None,
-    latency_mode: str = "bound",
-) -> Any:
-    """The module-level entry point: evaluate pairs, sharded on request.
+) -> list[PeriodResult]:
+    """Evaluate pairs through a fresh :class:`BatchEngine`.
 
     Drop-in replacement for ``[compute_period(i, m, method) for i, m in
     pairs]`` — same values, same exceptions — with skeleton caching and
-    optional multi-process sharding.
-
-    Parameters
-    ----------
-    instances:
-        The instances to evaluate.
-    models:
-        A single model applied to every instance, or one model per
-        instance.
-    method:
-        ``"auto"`` / ``"polynomial"`` / ``"tpn"`` / ``"simulation"``,
-        with :func:`compute_period`'s semantics.
-    mode:
-        Keyword-only.  ``"batch"`` (default) returns the full result
-        list aligned with the input; ``"stream"`` returns a lazy
-        iterator that yields results in input order (per same-topology
-        run on the serial path, per chunk on the parallel path).
-    max_rows:
-        TPN row budget (per evaluation, like the scalar path).
-    n_jobs:
-        ``None``/``1`` evaluates serially in-process; ``0`` uses all
-        cores; ``k > 1`` uses ``k`` worker processes.  Results are
-        bit-identical whatever the worker count.
-    chunk_size:
-        Pairs per worker task; default balances ~4 chunks per worker.
-        Chunks are contiguous, so keep topology groups adjacent in the
-        input for best cache locality *and* full-chunk lockstep groups.
-    engine:
-        Serial path only: reuse a caller-owned :class:`BatchEngine`
-        (e.g. to share its cache across successive sweeps).  When given,
-        the engine's own ``warm_start`` flag governs, not this call's.
-        Combining ``engine=`` with a parallel ``n_jobs`` raises
-        :class:`~repro.errors.ValidationError` — worker processes
-        cannot share the caller's cache.
-    warm_start:
-        Opt-in Howard warm starting inside each evaluating engine (see
-        :class:`BatchEngine`).  Period values are identical to cold
-        start; extracted critical cycles may depend on chunk boundaries.
-    objectives:
-        ``None`` (default) returns plain :class:`PeriodResult` values —
-        byte-identical to the pre-redesign behavior.  A selection of
-        objective names returns
-        :class:`~repro.objectives.base.EvalResult` values; the extra
-        objectives are computed in the calling process, so they are
-        identical whatever ``n_jobs``.
-    latency_mode:
-        ``"bound"`` (deterministic worst-path bound, default) or
-        ``"measured"`` (exact simulation) for the latency objective.
+    optional multi-process sharding.  ``models`` is one model for every
+    instance or one per instance; ``max_rows`` and ``warm_start``
+    configure the engine and ``n_jobs`` is
+    :meth:`BatchEngine.evaluate`'s.  To reuse a cache across calls,
+    keep a :class:`BatchEngine` and call its ``evaluate``.
 
     Examples
     --------
@@ -895,16 +625,6 @@ def evaluate(
     >>> batch[0].period == compute_period(example_a(), "overlap").period
     True
     """
-    if mode not in ("batch", "stream"):
-        raise ValidationError(
-            f"unknown mode {mode!r}; expected batch/stream"
-        )
-    pairs = _normalize_pairs(instances, models)
-    stream: Iterator[PeriodResult] = _stream_pairs(
-        pairs, method=method, max_rows=max_rows, n_jobs=n_jobs,
-        chunk_size=chunk_size, engine=engine, warm_start=warm_start,
+    return BatchEngine(max_rows=max_rows, warm_start=warm_start).evaluate(
+        list(instances), models, method, n_jobs=n_jobs
     )
-    if objectives is None:
-        return stream if mode == "stream" else list(stream)
-    wrapped = _attach_objectives(pairs, stream, objectives, latency_mode)
-    return wrapped if mode == "stream" else list(wrapped)

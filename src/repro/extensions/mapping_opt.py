@@ -20,9 +20,9 @@ to share its topology cache across searches): re-proposed mappings hit
 the skeleton cache instead of rebuilding their TPN, and
 :func:`local_search_mapping` can fan a whole neighborhood out to worker
 processes with ``n_jobs`` while preserving the serial search trajectory.
-Small neighborhoods evaluate through the engine's ``mode="many"`` path,
-which locksteps any same-topology runs among the candidates through the
-batched Howard solver (see :func:`repro.maxplus.howard.solve_prepared_many`).
+Neighborhoods evaluate as one sequence, which locksteps any
+same-topology runs among the candidates through the batched Howard
+solver (see :func:`repro.maxplus.howard.solve_prepared_many`).
 
 Restart hooks
 -------------
@@ -61,8 +61,7 @@ from ..core.instance import Instance
 from ..core.mapping import Mapping
 from ..core.models import CommModel
 from ..core.platform import Platform
-from ..engine import BatchEngine, evaluate
-from ..engine.batch import MIN_PARALLEL_BATCH
+from ..engine import BatchEngine
 from ..errors import ValidationError
 from ..experiments.generator import random_replication
 
@@ -403,13 +402,13 @@ def local_search_mapping(
 
     With ``n_jobs`` set (0 = all cores, k > 1 = k workers) every
     iteration evaluates its whole candidate neighborhood through
-    :func:`repro.engine.evaluate` and *then* scans it in the same
-    shuffled order for the first improving move — the accepted-solution
-    trajectory is identical to the serial search, only ``evaluations``
-    grows (the serial path stops evaluating at the first improvement).
-    Worker processes are pooled per iteration, so the shared ``engine``
-    cache benefits the serial paths; sharded chunks warm their own
-    per-worker caches.
+    ``engine.evaluate(..., n_jobs=n_jobs)`` and *then* scans it in the
+    same shuffled order for the first improving move — the
+    accepted-solution trajectory is identical to the serial search, only
+    ``evaluations`` grows (the serial path stops evaluating at the first
+    improvement).  Worker processes are pooled per iteration, so the
+    shared ``engine`` cache serves neighborhoods too small to shard;
+    sharded chunks warm their own per-worker caches.
 
     ``budget`` bounds the oracle calls against a shared pool (see
     :class:`repro.search.EvaluationBudget`): the serial scan stops at
@@ -509,18 +508,7 @@ def local_search_mapping(
             feasible = [(k, m2) for k, m2 in scan
                         if m2.num_paths <= max_paths]
             insts = [Instance(app, plat, m2) for _, m2 in feasible]
-            # engine= and n_jobs are mutually exclusive in evaluate()
-            # (workers cannot share the caller's cache), so pick the path
-            # explicitly: shard big neighborhoods across fresh per-worker
-            # caches inheriting the warm-start mode, keep small ones on
-            # the shared engine — whose mode="many" path locksteps any
-            # same-topology runs the move generator proposes.
-            if len(insts) >= MIN_PARALLEL_BATCH:
-                results = evaluate(insts, model, max_rows=max_paths + 1,
-                                   n_jobs=n_jobs,
-                                   warm_start=eng.warm_start)
-            else:
-                results = eng.evaluate(insts, model, mode="many")
+            results = eng.evaluate(insts, model, n_jobs=n_jobs)
             values = {k: float("inf") for k, _ in scan}
             values.update({k: r.period for (k, _), r in zip(feasible, results)})
             by_move = dict(scan)

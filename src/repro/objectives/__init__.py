@@ -22,7 +22,8 @@ plane:
   platform's spare processors on throughput vs reliability (the two
   ends of the Pareto front, used to seed the portfolio's probes).
 
-The plane is threaded through ``BatchEngine.evaluate(objectives=...)``,
+The plane is threaded through :class:`ObjectiveEvaluator` (over a
+shared ``BatchEngine``),
 :func:`repro.search.pareto.pareto_portfolio_search`, campaign specs
 (``objectives`` grids) and the CLI (``optimize --objectives``).
 """

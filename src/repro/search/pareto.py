@@ -55,8 +55,7 @@ from ..core.instance import Instance
 from ..core.mapping import Mapping
 from ..core.models import CommModel
 from ..core.platform import Platform
-from ..engine import BatchEngine, evaluate
-from ..engine.batch import MIN_PARALLEL_BATCH
+from ..engine import BatchEngine
 from ..errors import ValidationError
 from ..extensions.mapping_opt import _neighborhood_moves, random_mapping
 from ..objectives import (
@@ -525,24 +524,9 @@ class _ParetoDriver:
             # and reliability attach in this process as each scanned
             # candidate is reached, so the archive offers — and the
             # accepted move — follow the serial trajectory exactly.
-            if (
-                self.n_jobs is not None
-                and self.n_jobs != 1
-                and len(insts) >= MIN_PARALLEL_BATCH
-            ):
-                periods = evaluate(
-                    insts,
-                    self.model,
-                    max_rows=self.max_paths + 1,
-                    n_jobs=self.n_jobs,
-                    warm_start=self.evaluator.engine.warm_start,
-                )
-            elif insts:
-                periods = self.evaluator.engine.evaluate(
-                    insts, self.model, mode="many"
-                )
-            else:
-                periods = []
+            periods = self.evaluator.engine.evaluate(
+                insts, self.model, n_jobs=self.n_jobs
+            )
             by_id = {
                 id(m2): (inst, pr)
                 for m2, inst, pr in zip(feasible, insts, periods)

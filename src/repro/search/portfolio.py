@@ -30,9 +30,8 @@ each rung, and the last survivor drains the pool.
 All restarts share one :class:`~repro.engine.batch.BatchEngine`, so a
 topology proposed twice — any mapping with the same replication counts,
 which covers every swap and rotation move — reuses its TPN skeleton and
-Howard plan; neighborhood scans route
-through the engine's ``evaluate(mode="many")``, which locksteps any
-same-topology candidate runs through the batched Howard solver
+Howard plan; neighborhood scans evaluate as one engine sequence, which
+locksteps any same-topology candidate runs through the batched Howard solver
 (:func:`repro.maxplus.howard.solve_prepared_many`).  Pass
 ``warm_start=True`` to additionally seed policy iteration from the
 previous evaluation of each topology group (period values are

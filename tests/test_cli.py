@@ -134,6 +134,17 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "With overlap:" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "4", "--count", "5", "--model", "strict",
+         "--jobs", "-2"],
+        ["optimize", "b", "--restarts", "2", "--budget", "40", "--jobs", "-1"],
+    ])
+    def test_negative_jobs_is_a_clean_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_jobs must be")
+        assert f"got {argv[-1]}" in err
+
     def test_certify(self, capsys):
         assert main(["certify", "b"]) == 0
         out = capsys.readouterr().out

@@ -21,6 +21,7 @@ from repro.engine import (
 )
 from repro.errors import ReplicationExplosionError, ValidationError
 from repro.experiments.examples_paper import example_a, example_b, example_c
+from repro.telemetry import TELEMETRY
 
 from .conftest import small_instances
 
@@ -112,7 +113,7 @@ class TestBitIdentity:
     def test_shared_topology_sweep(self):
         insts = shared_topology_instances(count=8)
         engine = BatchEngine()
-        batched = evaluate(insts, "strict", method="tpn", engine=engine)
+        batched = engine.evaluate(insts, "strict", method="tpn")
         for inst, b in zip(insts, batched):
             assert_results_identical(
                 compute_period(inst, "strict", method="tpn"), b
@@ -166,8 +167,10 @@ class TestCacheSemantics:
 
 class TestBatchApi:
     def test_order_preserved_and_streaming(self):
+        # One instance at a time through a shared engine vs one batch.
         insts = shared_topology_instances(count=5)
-        streamed = list(evaluate(insts, "strict", method="tpn", mode="stream"))
+        engine = BatchEngine()
+        streamed = [engine.evaluate(i, "strict", method="tpn") for i in insts]
         batched = evaluate(insts, "strict", method="tpn")
         scalar = [compute_period(i, "strict", method="tpn") for i in insts]
         for s, st, b in zip(scalar, streamed, batched):
@@ -189,9 +192,8 @@ class TestBatchApi:
         insts = shared_topology_instances(count=10)
         serial = evaluate(insts, "strict", method="tpn")
         sharded = evaluate(insts, "strict", method="tpn", n_jobs=2)
-        chunked = evaluate(
-            insts, "strict", method="tpn", n_jobs=2, chunk_size=3
-        )
+        # Three workers cut the batch at other chunk boundaries.
+        chunked = evaluate(insts, "strict", method="tpn", n_jobs=3)
         for s, p, c in zip(serial, sharded, chunked):
             assert s.period == p.period == c.period
             assert s.mct == p.mct == c.mct
@@ -202,6 +204,79 @@ class TestBatchApi:
         scalar = compute_period(inst, "overlap", method="simulation")
         batched = evaluate([inst], "overlap", method="simulation")[0]
         assert scalar.period == batched.period
+
+
+class TestSharding:
+    """``BatchEngine.evaluate(..., n_jobs=)``: worker shards equal serial."""
+
+    def test_shared_engine_sharded_equals_serial(self):
+        insts = (shared_topology_instances(count=6, seed=1)
+                 + shared_topology_instances(count=5, counts=(1, 2), seed=2))
+        models = ["strict"] * 6 + ["overlap"] * 5
+        serial = BatchEngine().evaluate(insts, models)
+        engine = BatchEngine()
+        sharded = engine.evaluate(insts, models, n_jobs=2)
+        assert len(sharded) == len(serial)
+        for s, p in zip(serial, sharded):
+            assert_results_identical(s, p)
+        # Workers hold their own caches; the shared engine saw nothing.
+        assert engine.stats.evaluated == 0
+
+    def test_small_batch_stays_on_shared_cache(self):
+        insts = shared_topology_instances(count=3)
+        engine = BatchEngine()
+        engine.evaluate(insts[0], "strict")
+        res = engine.evaluate(insts, "strict", n_jobs=2)
+        for inst, r in zip(insts, res):
+            assert_results_identical(compute_period(inst, "strict"), r)
+        assert engine.stats.evaluated == 4
+        assert engine.stats.misses == 1 and engine.stats.hits == 3
+
+    def test_simulation_firings_forwarded_to_workers(self):
+        insts = shared_topology_instances(count=4, counts=(1, 1), seed=3)
+        serial = BatchEngine().evaluate(insts, "overlap", "simulation", 8)
+        sharded = BatchEngine().evaluate(
+            insts, "overlap", "simulation", 8, n_jobs=2
+        )
+        for inst, s, p in zip(insts, serial, sharded):
+            ref = compute_period(inst, "overlap", method="simulation",
+                                 n_firings=8)
+            assert ref.period == s.period == p.period
+        # The firing count reaches the result: the default differs.
+        default = evaluate(insts, "overlap", "simulation", n_jobs=2)
+        assert [r.period for r in default] != [r.period for r in sharded]
+
+    def test_contract_counters_merge_from_workers(self):
+        insts = (shared_topology_instances(count=6, seed=4)
+                 + shared_topology_instances(count=4, counts=(3, 1), seed=5))
+        models = ["strict"] * 6 + ["overlap"] * 4
+
+        def contract_counters(n_jobs):
+            TELEMETRY.enable("t")
+            try:
+                BatchEngine().evaluate(insts, models, n_jobs=n_jobs)
+                counters = TELEMETRY.counter_snapshot()
+            finally:
+                TELEMETRY.disable()
+            return {k: v for k, v in counters.items()
+                    if k.startswith("engine.points") or k == "engine.paths"}
+
+        serial = contract_counters(None)
+        assert serial["engine.points"] == len(insts)
+        assert serial["engine.points.tpn"] == 6
+        assert serial["engine.points.polynomial"] == 4
+        assert contract_counters(2) == serial
+
+    @pytest.mark.parametrize("n_jobs", [-1, -2])
+    def test_negative_jobs_rejected_at_any_size(self, n_jobs):
+        inst = example_a()
+        for call in (
+            lambda: evaluate([inst] * 5, "strict", n_jobs=n_jobs),
+            lambda: BatchEngine().evaluate([inst], "strict", n_jobs=n_jobs),
+            lambda: BatchEngine().evaluate(inst, "strict", n_jobs=n_jobs),
+        ):
+            with pytest.raises(ValidationError, match=f"got {n_jobs}"):
+                call()
 
 
 class TestErrorParity:

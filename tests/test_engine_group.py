@@ -1,10 +1,9 @@
 """Group (lockstep) evaluation path of the batch engine.
 
-Pins the PR-4 contracts: `evaluate(mode="many")`/`evaluate(mode="group")`
-results are bit-identical to per-pair evaluation and to `compute_period`; the
-batched `CycleTimePlan.verdict_many` equals the scalar verdict; and the
-`engine=` + parallel `n_jobs` combination fails loudly instead of
-silently dropping the engine.
+Pins the group contracts: sequence `evaluate` results are bit-identical to
+per-pair evaluation and to `compute_period`, whether the batch is one topology
+group or mixes topologies, and the batched `CycleTimePlan.verdict_many` equals
+the scalar verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.engine import (
     build_cycle_time_plan,
     evaluate,
 )
-from repro.errors import ValidationError
 
 
 def group_sweep(counts, n_instances, seed=0, works=None):
@@ -98,7 +96,7 @@ class TestGroupBitIdentity:
         scalar_engine = BatchEngine()
         scalar = [scalar_engine.evaluate(i, "strict") for i in insts]
         group_engine = BatchEngine()
-        grouped = group_engine.evaluate(insts, "strict", mode="many")
+        grouped = group_engine.evaluate(insts, "strict")
         for s, g in zip(scalar, grouped):
             assert_same_result(s, g)
         # Cache-stat parity with the per-pair loop.
@@ -111,13 +109,14 @@ class TestGroupBitIdentity:
         b = group_sweep((3, 2, 1), 4, seed=4)
         interleaved = [a[0], a[1], b[0], b[1], b[2], a[2], a[3], a[4], b[3]]
         engine = BatchEngine()
-        grouped = engine.evaluate(interleaved, "strict", mode="many")
+        grouped = engine.evaluate(interleaved, "strict")
         for inst, res in zip(interleaved, grouped):
             assert_same_result(res, compute_period(inst, "strict", method="tpn"))
 
     def test_stream_and_batch_agree_with_group_path(self):
         insts = group_sweep((2, 3, 1), MIN_GROUP_ROWS * 4, seed=5)
-        streamed = list(evaluate(insts, "strict", method="tpn", mode="stream"))
+        engine = BatchEngine()
+        streamed = [engine.evaluate(i, "strict", method="tpn") for i in insts]
         batched = evaluate(insts, "strict", method="tpn")
         for s, b in zip(streamed, batched):
             assert_same_result(s, b)
@@ -132,7 +131,7 @@ class TestGroupBitIdentity:
     def test_warm_group_values_match_cold(self):
         insts = group_sweep((6, 10, 15), 10, seed=7)
         cold = evaluate(insts, "strict", method="tpn")
-        warm = BatchEngine(warm_start=True).evaluate(insts, "strict", mode="many")
+        warm = BatchEngine(warm_start=True).evaluate(insts, "strict")
         for c, w in zip(cold, warm):
             assert c.period == w.period
             assert c.mct == w.mct
@@ -140,7 +139,7 @@ class TestGroupBitIdentity:
 
     def test_overlap_auto_routes_polynomial_per_pair(self):
         insts = group_sweep((2, 2, 1), 6, seed=8)
-        grouped = BatchEngine().evaluate(insts, "overlap", mode="many")
+        grouped = BatchEngine().evaluate(insts, "overlap")
         for inst, res in zip(insts, grouped):
             assert res.method == "polynomial"
             assert res.period == compute_period(inst, "overlap").period
@@ -149,18 +148,23 @@ class TestGroupBitIdentity:
 class TestMixedLabelGroups:
     """One count signature, different processors: the lockstep hot path."""
 
-    @pytest.mark.parametrize("mode", ["group", "many"])
+    # "group": the batch is exactly one topology group; "many": the group
+    # sits between instances of two other topologies.
+    @pytest.mark.parametrize("batch", ["group", "many"])
     @pytest.mark.parametrize("ragged", [False, True])
-    def test_rows_match_compute_period(self, mode, ragged):
+    def test_rows_match_compute_period(self, batch, ragged):
         insts = mixed_label_sweep((2, 3, 1), MIN_GROUP_ROWS + 3, seed=21,
                                   big_extra=5 if ragged else 2)
         assert len({i.mapping.assignments for i in insts}) == len(insts)
+        others = group_sweep((1, 2), 1, seed=23) + group_sweep((2, 1), 1, seed=24)
+        if batch == "many":
+            insts = others[:1] + insts + others[1:]
         engine = BatchEngine()
-        grouped = engine.evaluate(insts, "strict", mode=mode)
+        grouped = engine.evaluate(insts, "strict")
         for inst, res in zip(insts, grouped):
             assert_same_result(res, compute_period(inst, "strict", method="tpn"))
         assert engine.stats.group_solves == 1
-        assert engine.stats.misses == 1
+        assert engine.stats.misses == (1 if batch == "group" else 3)
 
     def test_stamps_and_verdicts_match_per_row(self):
         insts = mixed_label_sweep((3, 2, 2), 6, seed=22, big_extra=2)
@@ -193,30 +197,16 @@ class TestVerdictMany:
 
 
 class TestEvaluateGroupValidation:
-    def test_mixed_topologies_raise(self):
-        a = group_sweep((2, 1), 2, seed=12)
-        b = group_sweep((1, 2), 1, seed=13)
-        with pytest.raises(ValidationError, match="replication counts"):
-            BatchEngine().evaluate(a + b, "strict", mode="group")
-
     def test_single_topology_group_is_fine(self):
         insts = group_sweep((2, 1), 3, seed=14)
-        res = BatchEngine().evaluate(insts, "strict", mode="group")
+        res = BatchEngine().evaluate(insts, "strict")
         for inst, r in zip(insts, res):
             assert r.period == compute_period(inst, "strict", method="tpn").period
 
 
 class TestEngineJobsValidation:
-    def test_engine_with_parallel_jobs_raises(self):
-        insts = group_sweep((2, 1), 6, seed=10)
-        engine = BatchEngine()
-        with pytest.raises(ValidationError, match="serial-path"):
-            evaluate(insts, "strict", engine=engine, n_jobs=2)
-        with pytest.raises(ValidationError, match="serial-path"):
-            list(evaluate(insts, "strict", engine=engine, n_jobs=0, mode="stream"))
-
     def test_engine_with_serial_jobs_is_fine(self):
         insts = group_sweep((2, 1), 4, seed=11)
         engine = BatchEngine()
-        res = evaluate(insts, "strict", engine=engine, n_jobs=1)
+        res = engine.evaluate(insts, "strict", n_jobs=1)
         assert len(res) == 4 and engine.stats.evaluated == 4

@@ -1,5 +1,6 @@
 """Tests for the multi-criteria objective plane (repro.objectives)."""
 
+import numpy as np
 import pytest
 
 from repro import Application, Instance, Mapping, Platform, compute_period
@@ -17,7 +18,8 @@ from repro.objectives import (
     stage_reliability,
 )
 from repro.core.latency import measure_latency
-from repro.objectives.evaluate import worst_path_latency
+from repro.engine import BatchEngine
+from repro.objectives.evaluate import ObjectiveEvaluator, worst_path_latency
 from repro.experiments import example_a
 
 
@@ -147,6 +149,47 @@ class TestEvalResult:
         a = self._result().to_dict()
         b = self._result().to_dict()
         assert a == b
+
+
+class TestObjectiveEvaluatorMany:
+    OBJECTIVES = ("period", "latency", "reliability")
+
+    @staticmethod
+    def _batch():
+        """Two same-topology runs (lockstep) and a singleton, mixed models."""
+        rng = np.random.default_rng(7)
+        app = Application(works=[2.0, 3.0, 1.5], file_sizes=[1.0, 2.0])
+        insts = []
+        for assignments in ([[0, 1], [2], [3]],) * 3 + ([[0], [1, 2], [3]],) * 2 \
+                + ([[3], [0, 2], [1]],):
+            plat = Platform.from_comm_times(
+                rng.uniform(5.0, 15.0, 4),
+                rng.uniform(5.0, 15.0, (4, 4)) * (1 - np.eye(4)),
+            ).with_failure_rates(list(rng.uniform(0.05, 0.4, 4)))
+            insts.append(Instance(app, plat, Mapping(assignments)))
+        models = ["strict"] * 5 + ["overlap"]
+        return insts, models
+
+    def test_equals_per_instance_and_attached_engine_results(self):
+        insts, models = self._batch()
+        many = ObjectiveEvaluator(BatchEngine(), self.OBJECTIVES) \
+            .evaluate_many(insts, models)
+        single = ObjectiveEvaluator(BatchEngine(), self.OBJECTIVES)
+        one_by_one = [single.evaluate(i, m) for i, m in zip(insts, models)]
+        attached = [
+            attach_objectives(i, r, self.OBJECTIVES)
+            for i, r in zip(insts, BatchEngine().evaluate(insts, models))
+        ]
+        assert len(many) == len(one_by_one) == len(attached) == len(insts)
+        for m, o, a in zip(many, one_by_one, attached):
+            assert m.to_dict() == o.to_dict() == a.to_dict()
+            assert m.reliability < 1.0
+            for ref in (o, a):
+                assert m.period_result.mct == ref.period_result.mct
+                assert m.period_result.method == ref.period_result.method
+                if m.period_result.tpn_solution is not None:
+                    assert m.period_result.tpn_solution.ratio == \
+                        ref.period_result.tpn_solution.ratio
 
 
 class TestDominates:

@@ -261,7 +261,7 @@ class TestEngine:
         TELEMETRY.enable("t")
         try:
             engine = BatchEngine()
-            engine.evaluate(batch, "overlap", mode="many")
+            engine.evaluate(batch, "overlap")
             counters = TELEMETRY.counter_snapshot()
             hits = FAULTS.hits("engine.evaluate")
         finally:
